@@ -11,13 +11,13 @@ use crate::par::Par;
 use munin_core::MuninProto;
 use munin_ivy::IvyProto;
 use munin_proto::Protocol;
-use munin_rt::{RtCtx, RtTuning, RtWorldBuilder};
-use munin_sim::{RunReport, ThreadCtx, Tracer, TransportConfig, WorldBuilder};
+use munin_rt::{RtCtx, RtTuning};
+use munin_sim::{RunReport, ThreadCtx, Tracer, TransportConfig, World, WorldSpec};
 use munin_tardis::TardisProto;
-use munin_tcp::{TcpTuning, TcpWorldBuilder, TestFault};
+use munin_tcp::{TcpTuning, TestFault};
 use munin_types::{
     BarrierDecl, BarrierId, CondDecl, CondId, Element, IvyConfig, LockDecl, LockId, MuninConfig,
-    NodeId, ObjectDecl, ObjectId, SharedArray, SharedScalar, SharingType, SyncDecls, TardisConfig,
+    NodeId, ObjectDecl, ObjectId, SharedArray, SharedScalar, SharingType, TardisConfig,
 };
 
 /// Which runtime executes the program.
@@ -212,34 +212,19 @@ impl Outcome {
     }
 }
 
-type ThreadBody = Box<dyn FnOnce(&mut dyn Par) + Send + 'static>;
-
 /// Builder for a portable parallel program.
 pub struct ProgramBuilder {
-    n_nodes: usize,
-    objects: Vec<ObjectDecl>,
-    locks: Vec<LockDecl>,
-    barriers: Vec<BarrierDecl>,
-    conds: Vec<CondDecl>,
-    threads: Vec<(NodeId, ThreadBody)>,
+    spec: WorldSpec<dyn Par>,
     rt_tuning: RtTuning,
     tcp_fault: Option<TestFault>,
-    coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
 }
 
 impl ProgramBuilder {
     pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0);
         ProgramBuilder {
-            n_nodes,
-            objects: Vec::new(),
-            locks: Vec::new(),
-            barriers: Vec::new(),
-            conds: Vec::new(),
-            threads: Vec::new(),
+            spec: WorldSpec::new(n_nodes),
             rt_tuning: RtTuning::default(),
             tcp_fault: None,
-            coverage: None,
         }
     }
 
@@ -264,12 +249,12 @@ impl ProgramBuilder {
     /// protocol underneath. `None` (the default) keeps the note sites to a
     /// single predicted branch.
     pub fn coverage(&mut self, map: std::sync::Arc<munin_obs::CoverageMap>) -> &mut Self {
-        self.coverage = Some(map);
+        self.spec.coverage = Some(map);
         self
     }
 
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.spec.n_nodes()
     }
 
     /// Declare a typed shared array of `len` elements of `T`, homed on node
@@ -340,65 +325,59 @@ impl ProgramBuilder {
     /// [`ProgramBuilder::scalar`]; the raw form remains for runtimes and
     /// experiment plumbing that work below the typed layer.
     pub fn object(&mut self, name: &str, size: u32, sharing: SharingType, home: usize) -> ObjectId {
-        let id = ObjectId(self.objects.len() as u64);
-        let decl = ObjectDecl::new(id, name, size, sharing, NodeId(home as u16));
-        self.objects.push(decl);
-        id
+        let decl = ObjectDecl::new(ObjectId(0), name, size, sharing, NodeId(home as u16));
+        self.object_decl(decl, home)
     }
 
     /// Declare a shared object from a full declaration template (for
     /// lock-associated migratory objects and eager producer-consumer
     /// objects). The id and home are overwritten.
-    pub fn object_decl(&mut self, mut decl: ObjectDecl, home: usize) -> ObjectId {
-        let id = ObjectId(self.objects.len() as u64);
-        decl.id = id;
-        decl.home = NodeId(home as u16);
-        self.objects.push(decl);
-        id
+    pub fn object_decl(&mut self, decl: ObjectDecl, home: usize) -> ObjectId {
+        self.spec.declare(decl, NodeId(home as u16))
     }
 
     /// Declare a distributed lock homed on `home`.
     pub fn lock(&mut self, home: usize) -> LockId {
-        let id = LockId(self.locks.len() as u32);
-        self.locks.push(LockDecl { id, home: NodeId(home as u16) });
+        let id = LockId(self.spec.sync.locks.len() as u32);
+        self.spec.sync.locks.push(LockDecl { id, home: NodeId(home as u16) });
         id
     }
 
     /// Declare a barrier with `count` participants, homed on `home`.
     pub fn barrier(&mut self, home: usize, count: u32) -> BarrierId {
-        let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push(BarrierDecl { id, home: NodeId(home as u16), count });
+        let id = BarrierId(self.spec.sync.barriers.len() as u32);
+        self.spec.sync.barriers.push(BarrierDecl { id, home: NodeId(home as u16), count });
         id
     }
 
     /// Declare a condition variable homed on `home` (Munin backend only).
     pub fn cond(&mut self, home: usize) -> CondId {
-        let id = CondId(self.conds.len() as u32);
-        self.conds.push(CondDecl { id, home: NodeId(home as u16) });
+        let id = CondId(self.spec.sync.conds.len() as u32);
+        self.spec.sync.conds.push(CondDecl { id, home: NodeId(home as u16) });
         id
     }
 
     /// Spawn a program thread on node `node`.
     pub fn thread(&mut self, node: usize, f: impl FnOnce(&mut dyn Par) + Send + 'static) {
-        assert!(node < self.n_nodes, "thread placed on unknown node {node}");
-        self.threads.push((NodeId(node as u16), Box::new(f)));
+        assert!(node < self.n_nodes(), "thread placed on unknown node {node}");
+        self.spec.spawn(NodeId(node as u16), move |par| f(par));
     }
 
     /// Number of threads spawned so far.
     pub fn n_threads(&self) -> usize {
-        self.threads.len()
+        self.spec.n_threads()
     }
 
     /// Snapshot of the declared objects (for the sharing-study classifier,
     /// which compares observed behaviour against the annotations).
     pub fn objects(&self) -> Vec<ObjectDecl> {
-        self.objects.clone()
+        self.spec.decls().to_vec()
     }
 
     /// Clear (or set) the eager flag on every producer-consumer object —
     /// the lazy-propagation ablation of experiment E7.
     pub fn set_eager_all(&mut self, eager: bool) {
-        for d in &mut self.objects {
+        for d in self.spec.decls_mut() {
             if d.sharing == SharingType::ProducerConsumer {
                 d.eager = eager;
             }
@@ -410,7 +389,7 @@ impl ProgramBuilder {
     /// measure what Munin's type-specific dispatch buys). Lock associations
     /// are dropped when the type changes away from `Migratory`.
     pub fn retype_all(&mut self, f: impl Fn(SharingType) -> SharingType) {
-        for d in &mut self.objects {
+        for d in self.spec.decls_mut() {
             let nt = f(d.sharing);
             if nt != d.sharing {
                 d.sharing = nt;
@@ -419,14 +398,6 @@ impl ProgramBuilder {
                 }
                 d.eager = false;
             }
-        }
-    }
-
-    fn sync_decls(&self) -> SyncDecls {
-        SyncDecls {
-            locks: self.locks.clone(),
-            barriers: self.barriers.clone(),
-            conds: self.conds.clone(),
         }
     }
 
@@ -446,162 +417,90 @@ impl ProgramBuilder {
     ) -> Outcome {
         let started = std::time::Instant::now();
         let backend_name = backend.name();
-        match backend {
-            Backend::Native => {
-                let world = NativeWorld::new(
-                    self.objects.iter().map(|d| (d.id, d.size as usize)),
-                    self.locks.len(),
-                    &self.barriers.iter().map(|b| b.count as usize).collect::<Vec<_>>(),
-                    self.conds.len(),
-                    self.threads.len(),
-                );
-                let mut joins = Vec::new();
-                for (i, (_node, body)) in self.threads.into_iter().enumerate() {
-                    let w = world.clone();
-                    joins.push(std::thread::spawn(move || {
-                        let mut ctx = NativeCtx::new(w, i);
-                        body(&mut ctx);
-                    }));
-                }
-                for j in joins {
-                    j.join().expect("native program thread panicked");
-                }
-                Outcome { report: None, wall: started.elapsed(), backend: backend_name }
+        let Some(fabric) = backend.fabric() else {
+            let world = NativeWorld::new(
+                self.spec.decls().iter().map(|d| (d.id, d.size as usize)),
+                self.spec.sync.locks.len(),
+                &self.spec.sync.barriers.iter().map(|b| b.count as usize).collect::<Vec<_>>(),
+                self.spec.sync.conds.len(),
+                self.spec.n_threads(),
+            );
+            let mut joins = Vec::new();
+            for (i, (_node, body)) in self.spec.into_parts().1.into_iter().enumerate() {
+                let w = world.clone();
+                joins.push(std::thread::spawn(move || {
+                    let mut ctx = NativeCtx::new(w, i);
+                    body(&mut ctx);
+                }));
             }
-            // Every other backend is a (protocol × fabric) product: one
-            // generic arm per fabric, protocol plugged in via the
-            // `Protocol` seam. Adding a protocol means adding its three
-            // `Backend` variants here — no new run logic.
-            Backend::Munin(cfg) => {
-                self.run_sim_proto::<MuninProto>(cfg, transport, tracer, started, backend_name)
+            for j in joins {
+                j.join().expect("native program thread panicked");
             }
-            Backend::Ivy(cfg) => {
-                self.run_sim_proto::<IvyProto>(cfg, transport, tracer, started, backend_name)
+            return Outcome { report: None, wall: started.elapsed(), backend: backend_name };
+        };
+        let report = match backend {
+            // A protocol backend is a (protocol × fabric) product: one arm
+            // per protocol, the fabric picked inside `run_proto`.
+            Backend::Munin(c) | Backend::MuninRt(c) | Backend::MuninTcp(c) => {
+                self.run_proto::<MuninProto>(fabric, c, transport, tracer, backend_name)
             }
-            Backend::Tardis(cfg) => {
-                self.run_sim_proto::<TardisProto>(cfg, transport, tracer, started, backend_name)
+            Backend::Ivy(c) | Backend::IvyRt(c) | Backend::IvyTcp(c) => {
+                self.run_proto::<IvyProto>(fabric, c, transport, tracer, backend_name)
             }
-            // The real-time backends run over OS channels: simulated-wire
-            // features (loss injection, shared medium, tracing) cannot be
-            // honored, and silently dropping them would let an experiment
-            // measure something other than what it configured — reject
-            // loudly instead (in `run_rt_proto`/`run_tcp_proto`).
-            Backend::MuninRt(cfg) => {
-                self.run_rt_proto::<MuninProto>(cfg, &transport, &tracer, started, backend_name)
+            Backend::Tardis(c) | Backend::TardisRt(c) | Backend::TardisTcp(c) => {
+                self.run_proto::<TardisProto>(fabric, c, transport, tracer, backend_name)
             }
-            Backend::IvyRt(cfg) => {
-                self.run_rt_proto::<IvyProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::TardisRt(cfg) => {
-                self.run_rt_proto::<TardisProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            // The distributed backends: same thread bodies, same `RtCtx`
-            // surface — the world builder forwards remote-node operations
-            // over the per-node control streams.
-            Backend::MuninTcp(cfg) => {
-                self.run_tcp_proto::<MuninProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::IvyTcp(cfg) => {
-                self.run_tcp_proto::<IvyProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-            Backend::TardisTcp(cfg) => {
-                self.run_tcp_proto::<TardisProto>(cfg, &transport, &tracer, started, backend_name)
-            }
-        }
+            Backend::Native => unreachable!("the native backend has no fabric"),
+        };
+        Outcome { report: Some(report), wall: started.elapsed(), backend: backend_name }
     }
 
-    /// Run protocol `Pr` on the deterministic simulator.
-    fn run_sim_proto<Pr: Protocol>(
+    /// Run protocol `Pr` on `fabric`.
+    fn run_proto<Pr: Protocol>(
         self,
+        fabric: Fabric,
         cfg: Pr::Config,
         transport: TransportConfig,
         tracer: Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
         backend: &'static str,
-    ) -> Outcome {
-        let sync = self.sync_decls();
-        let n_nodes = self.n_nodes;
-        let decls = self.objects.clone();
-        let mut b = WorldBuilder::new(n_nodes).transport(transport);
-        if let Some(t) = tracer {
-            b = b.tracer(t);
+    ) -> RunReport {
+        let spec = self.spec;
+        let servers = |spec: &WorldSpec<dyn Par>| -> Vec<Pr::Server> {
+            let n = spec.n_nodes();
+            (0..n)
+                .map(|i| Pr::server(&cfg, NodeId(i as u16), n, spec.decls(), &spec.sync))
+                .collect()
+        };
+        match fabric {
+            Fabric::Sim => {
+                let servers = servers(&spec);
+                let spec = spec.map_threads::<ThreadCtx>(|body| Box::new(move |ctx| body(ctx)));
+                World::new(spec, servers, transport, tracer).run()
+            }
+            // The wall-clock fabrics run over OS channels or sockets:
+            // simulated-wire features (loss injection, shared medium,
+            // tracing) cannot be honored, and silently dropping them would
+            // let an experiment measure something other than what it
+            // configured — reject loudly instead.
+            Fabric::Rt => {
+                assert_rt_supports(&transport, &tracer, backend);
+                let servers = servers(&spec);
+                let spec =
+                    spec.map_threads::<RtCtx<Pr::Msg>>(|body| Box::new(move |ctx| body(ctx)));
+                munin_rt::run_world(spec, servers, Pr::cost(&cfg).clone(), &self.rt_tuning)
+            }
+            // Same thread bodies, same `RtCtx` surface: the coordinator
+            // forwards remote-node operations over the per-node control
+            // streams.
+            Fabric::Tcp => {
+                assert_rt_supports(&transport, &tracer, backend);
+                let mut tuning = TcpTuning::from(self.rt_tuning);
+                tuning.test_fault = self.tcp_fault;
+                let spec =
+                    spec.map_threads::<RtCtx<Pr::Msg>>(|body| Box::new(move |ctx| body(ctx)));
+                munin_tcp::run_world::<Pr>(spec, cfg, &tuning)
+            }
         }
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut ThreadCtx| body(ctx));
-        }
-        let servers: Vec<Pr::Server> = (0..n_nodes)
-            .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, &decls, &sync))
-            .collect();
-        let report = b.build(servers).run();
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
-    }
-
-    /// Run protocol `Pr` on the in-process real-time kernel.
-    fn run_rt_proto<Pr: Protocol>(
-        self,
-        cfg: Pr::Config,
-        transport: &TransportConfig,
-        tracer: &Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
-        backend: &'static str,
-    ) -> Outcome {
-        assert_rt_supports(transport, tracer, backend);
-        let sync = self.sync_decls();
-        let n_nodes = self.n_nodes;
-        let decls = self.objects.clone();
-        let mut b = RtWorldBuilder::<Pr::Msg>::new(n_nodes)
-            .cost(Pr::cost(&cfg).clone())
-            .tuning(self.rt_tuning.clone());
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
-        }
-        let servers: Vec<Pr::Server> = (0..n_nodes)
-            .map(|i| Pr::server(&cfg, NodeId(i as u16), n_nodes, &decls, &sync))
-            .collect();
-        let report = b.run(servers);
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
-    }
-
-    /// Run protocol `Pr` on the multi-process TCP fabric.
-    fn run_tcp_proto<Pr: Protocol>(
-        self,
-        cfg: Pr::Config,
-        transport: &TransportConfig,
-        tracer: &Option<Box<dyn Tracer>>,
-        started: std::time::Instant,
-        backend: &'static str,
-    ) -> Outcome {
-        assert_rt_supports(transport, tracer, backend);
-        let sync = self.sync_decls();
-        let mut tuning = TcpTuning::from(self.rt_tuning.clone());
-        tuning.test_fault = self.tcp_fault;
-        let mut b = TcpWorldBuilder::<Pr::Msg>::new(self.n_nodes).tuning(tuning);
-        if let Some(map) = self.coverage.clone() {
-            b = b.coverage(map);
-        }
-        for d in &self.objects {
-            let id = b.declare(d.clone(), d.home);
-            debug_assert_eq!(id, d.id, "builder ids must stay dense");
-        }
-        for (node, body) in self.threads {
-            b.spawn(node, move |ctx: &mut RtCtx<Pr::Msg>| body(ctx));
-        }
-        let report = b.run_proto::<Pr>(cfg, sync);
-        Outcome { report: Some(report), wall: started.elapsed(), backend }
     }
 }
 

@@ -85,6 +85,4 @@ pub use munin_tcp::{tcp_support, TcpTuning};
 pub use munin_types::{
     Element, OpToken, SharedArray, SharedScalar, Telemetry, TokenState, TokenValue,
 };
-#[allow(deprecated)]
-pub use par::ParExt;
 pub use par::{Par, ParTyped, Region};

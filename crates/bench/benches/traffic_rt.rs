@@ -26,7 +26,8 @@
 //! between runs — the strict bit-identical and identical-NetStats claims
 //! are asserted by `tests/tests/rt_batching.rs` on schedule-deterministic
 //! workloads, and the matrix section below re-checks all six study apps on
-//! all five backends under the default (batched) tuning.
+//! the in-process (sim and rt) cells of `Backend::matrix()` plus Native
+//! under the default (batched) tuning.
 
 use munin_api::{Backend, ComputeMode, Par, ParTyped, ProgramBuilder, RtTuning};
 use munin_apps::App;

@@ -1,7 +1,8 @@
 //! # munin-bench
 //!
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation content, as indexed in `DESIGN.md` (E1–E14). Each experiment
+//! evaluation content, numbered E1–E14 (`src/bin/repro.rs` runs each by
+//! its lower-case id, e.g. `e13`). Each experiment
 //! returns a [`table::Table`] so the `repro` binary can print it and the
 //! test suite can assert its *shape* (who wins, where crossovers fall)
 //! without hard-coding absolute numbers.

@@ -12,7 +12,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, WorldBuilder,
+    DsmOp, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, TransportConfig, World,
+    WorldSpec,
 };
 use munin_types::{NodeId, ThreadId};
 use std::sync::{Arc, Mutex};
@@ -148,8 +149,8 @@ pub fn run_msgpass_matmul(cfg: &munin_apps::matmul::MatmulCfg) -> (Vec<f64>, Run
         (a, b)
     };
     let out = Arc::new(Mutex::new(None));
-    let mut builder = WorldBuilder::new(nodes);
-    builder.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+    let mut spec = WorldSpec::new(nodes);
+    spec.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
         ctx.flush(); // "go"
     });
     let servers: Vec<MpNode> = (0..nodes)
@@ -165,7 +166,7 @@ pub fn run_msgpass_matmul(cfg: &munin_apps::matmul::MatmulCfg) -> (Vec<f64>, Run
             out: out.clone(),
         })
         .collect();
-    let report = builder.build(servers).run();
+    let report = World::new(spec, servers, TransportConfig::default(), None).run();
     let result = out.lock().expect("out").take().expect("message-passing matmul finished");
     (result, report)
 }

@@ -1,7 +1,7 @@
 //! Edge-case and failure-path tests for the Munin runtime.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     BarrierId, ByteRange, CondId, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -12,14 +12,14 @@ fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldSpec<ThreadCtx>),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldSpec::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), None).run()
 }
 
 fn decl(name: &str, size: u32, sharing: SharingType) -> ObjectDecl {

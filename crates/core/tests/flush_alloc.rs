@@ -8,8 +8,9 @@
 //! full-object-sized allocation.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{ByteRange, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType};
+use std::sync::{Mutex, MutexGuard};
 
 #[path = "../../mem/testsupport/counting_alloc.rs"]
 mod counting_alloc;
@@ -20,18 +21,27 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const MIB: u32 = 1 << 20;
 
+/// `big_allocs` counts process-wide (the simulated world allocates on its
+/// own threads), so the measuring tests in this binary take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the `()` it guards is still fine.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldSpec<ThreadCtx>),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldSpec::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), None).run()
 }
 
 /// One dirty byte in a 1 MiB write-many object: installing the replica is
@@ -40,6 +50,7 @@ fn run_world(
 /// full twin, no working-copy clone, no payload deep-clone.
 #[test]
 fn sparse_flush_of_1mib_object_is_clone_free() {
+    let _serial = serial();
     let sync = SyncDecls::round_robin(0, 1, 1, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(
@@ -78,6 +89,7 @@ fn sparse_flush_of_1mib_object_is_clone_free() {
 /// written (here 256 bytes across 32 runs), not object size.
 #[test]
 fn scattered_flush_of_1mib_object_is_clone_free() {
+    let _serial = serial();
     let sync = SyncDecls::round_robin(0, 1, 2, 2);
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         let obj = b.declare(

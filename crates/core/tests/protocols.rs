@@ -2,7 +2,7 @@
 //! simulation kernel, exercised by scripted application threads.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     BarrierId, ByteRange, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -14,14 +14,14 @@ fn run_world(
     n_nodes: usize,
     cfg: MuninConfig,
     sync: SyncDecls,
-    setup: impl FnOnce(&mut WorldBuilder),
+    setup: impl FnOnce(&mut WorldSpec<ThreadCtx>),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
+    let mut b = WorldSpec::new(n_nodes);
     setup(&mut b);
     let servers: Vec<MuninServer> = (0..n_nodes)
         .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), None).run()
 }
 
 fn decl(name: &str, size: u32, sharing: SharingType) -> ObjectDecl {
@@ -283,7 +283,7 @@ fn migratory_rides_the_lock() {
     let sync = SyncDecls::round_robin(1, 1, n as u32, n);
     let total = Arc::new(AtomicI64::new(0));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldSpec::new(n);
         let obj =
             b.declare(decl("counter", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
         for i in 0..n {
@@ -308,7 +308,7 @@ fn migratory_rides_the_lock() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), None).run()
     };
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), (n * 5) as i64, "mutual exclusion held");
@@ -517,7 +517,7 @@ fn contended_lock_is_fair_and_exclusive() {
     let sync = SyncDecls::round_robin(1, 1, n as u32, n);
     let log = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldSpec::new(n);
         let obj =
             b.declare(decl("shared", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(0));
         for i in 0..n {
@@ -538,7 +538,7 @@ fn contended_lock_is_fair_and_exclusive() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), None).run()
     };
     report.assert_clean();
     let log = log.lock().unwrap();
@@ -554,7 +554,7 @@ fn barrier_releases_all_threads_together() {
     let sync = SyncDecls::round_robin(0, 1, (n * 2) as u32, n);
     let order = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldSpec::new(n);
         for i in 0..n {
             for j in 0..2 {
                 let order = order.clone();
@@ -569,7 +569,7 @@ fn barrier_releases_all_threads_together() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), None).run()
     };
     report.assert_clean();
     let order = order.lock().unwrap();
@@ -624,7 +624,7 @@ fn distributed_atomic_counter() {
     let sync = SyncDecls::round_robin(0, 1, n as u32, n);
     let finals = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldSpec::new(n);
         let obj = b.declare(decl("ctr", 8, SharingType::GeneralReadWrite), NodeId(0));
         for i in 0..n {
             let finals = finals.clone();
@@ -640,7 +640,7 @@ fn distributed_atomic_counter() {
         let cfg = MuninConfig::default();
         let servers: Vec<MuninServer> =
             (0..n).map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone())).collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), None).run()
     };
     report.assert_clean();
     let mut vals = finals.lock().unwrap().clone();
@@ -694,7 +694,7 @@ fn full_stack_runs_are_bit_identical() {
     let run = || {
         let sync = SyncDecls::round_robin(2, 1, 4, 4);
         let report = {
-            let mut b = WorldBuilder::new(4);
+            let mut b = WorldSpec::new(4);
             let grid = b.declare(decl("grid", 256, SharingType::WriteMany), NodeId(0));
             let ctr =
                 b.declare(decl("ctr", 8, SharingType::Migratory).with_lock(LockId(0)), NodeId(1));
@@ -715,7 +715,7 @@ fn full_stack_runs_are_bit_identical() {
             let servers: Vec<MuninServer> = (0..4)
                 .map(|i| MuninServer::new(NodeId(i as u16), cfg.clone(), sync.clone()))
                 .collect();
-            b.build(servers).run()
+            World::new(b, servers, TransportConfig::default(), None).run()
         };
         report.assert_clean();
         (report.finished_at, report.stats.messages, report.stats.bytes, report.ops)

@@ -2,7 +2,7 @@
 //! granularity and false sharing, DSM-resident synchronization.
 
 use munin_ivy::IvyServer;
-use munin_sim::{RunReport, ThreadCtx, WorldBuilder};
+use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     AllocPolicy, BarrierId, ByteRange, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId,
     SharingType, SyncDecls,
@@ -21,25 +21,19 @@ fn run_ivy(
     cfg: IvyConfig,
     sync: SyncDecls,
     objects: &[(&str, u32)],
-    setup: impl FnOnce(&mut WorldBuilder, &[ObjectId]),
+    setup: impl FnOnce(&mut WorldSpec<ThreadCtx>, &[ObjectId]),
 ) -> RunReport {
-    let mut b = WorldBuilder::new(n_nodes);
-    let mut decls = Vec::new();
-    let mut ids = Vec::new();
-    for (i, (name, size)) in objects.iter().enumerate() {
-        let home = NodeId((i % n_nodes) as u16);
-        let id = b.declare(decl(name, *size), home);
-        ids.push(id);
-        let mut d = decl(name, *size);
-        d.id = id;
-        d.home = home;
-        decls.push(d);
-    }
+    let mut b = WorldSpec::new(n_nodes);
+    let ids: Vec<ObjectId> = objects
+        .iter()
+        .enumerate()
+        .map(|(i, (name, size))| b.declare(decl(name, *size), NodeId((i % n_nodes) as u16)))
+        .collect();
     setup(&mut b, &ids);
     let servers: Vec<IvyServer> = (0..n_nodes)
-        .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n_nodes, &decls, &sync))
+        .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n_nodes, b.decls(), &sync))
         .collect();
-    b.build(servers).run()
+    World::new(b, servers, TransportConfig::default(), None).run()
 }
 
 #[test]
@@ -133,14 +127,8 @@ fn dsm_spin_lock_provides_mutual_exclusion() {
     let sync = SyncDecls::round_robin(1, 0, 0, n);
     let log = Arc::new(Mutex::new(Vec::new()));
     let report = {
-        let mut b = WorldBuilder::new(n);
+        let mut b = WorldSpec::new(n);
         let counter = b.declare(decl("counter", 8), NodeId(0));
-        let mut decls = vec![{
-            let mut d = decl("counter", 8);
-            d.id = counter;
-            d
-        }];
-        decls[0].home = NodeId(0);
         for i in 0..n {
             let log = log.clone();
             b.spawn(NodeId(i as u16), move |ctx: &mut ThreadCtx| {
@@ -157,9 +145,9 @@ fn dsm_spin_lock_provides_mutual_exclusion() {
         }
         let cfg = IvyConfig::default(); // DsmSpin
         let servers: Vec<IvyServer> = (0..n)
-            .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n, &decls, &sync))
+            .map(|i| IvyServer::new(NodeId(i as u16), cfg.clone(), n, b.decls(), &sync))
             .collect();
-        b.build(servers).run()
+        World::new(b, servers, TransportConfig::default(), None).run()
     };
     report.assert_clean();
     let values = log.lock().unwrap().clone();

@@ -609,7 +609,6 @@ impl<P> RtCtx<P> {
     }
 
     fn compute_inner(&mut self, us: u64) {
-        let us = (us as f64 * self.tuning.compute_scale).round() as u64;
         if us == 0 {
             return;
         }

@@ -72,6 +72,7 @@ mod ctx;
 pub mod fabric;
 mod kernel;
 pub mod serve;
+pub mod stall;
 pub mod timer;
 mod world;
 
@@ -79,4 +80,4 @@ pub use ctx::RtCtx;
 pub use fabric::{MsgBody, NodeEvent, Shared};
 pub use kernel::RtKernel;
 pub use serve::{drive_app_thread, request_dump, server_loop, NodeKernel};
-pub use world::{ComputeMode, RtTuning, RtWorldBuilder, SpinWait};
+pub use world::{run_world, ComputeMode, RtTuning, SpinWait};

@@ -6,7 +6,7 @@
 //! here. The thread keeps a min-heap of deadlines and delivers
 //! `NodeEvent::Timer(token)` to the owning node's inbox when each comes
 //! due. It exits when every `TimerReq` sender (one per node kernel plus the
-//! builder's) is gone.
+//! world runner's) is gone.
 //!
 //! Two invariants matter for the stall watchdog:
 //!

@@ -31,6 +31,7 @@ pub mod event;
 pub mod kernel;
 pub mod op;
 pub mod report;
+pub mod spec;
 pub mod thread;
 pub mod tracer;
 pub mod transport;
@@ -40,7 +41,8 @@ pub use kernel::KernelApi;
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, OpOutcome, OpResult};
 pub use report::RunReport;
+pub use spec::{ThreadBody, WorldSpec};
 pub use thread::ThreadCtx;
 pub use tracer::{NullTracer, TraceEvent, Tracer};
 pub use transport::TransportConfig;
-pub use world::{Kernel, Server, World, WorldBuilder};
+pub use world::{Kernel, Server, World};

@@ -12,6 +12,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::kernel::KernelApi;
 use crate::op::{DsmOp, OpOutcome, OpResult};
 use crate::report::{RunReport, WaitTable};
+use crate::spec::WorldSpec;
 use crate::thread::{ThreadCtx, ThreadReq};
 use crate::tracer::{NullTracer, TraceEvent, Tracer};
 use crate::transport::{Transport, TransportConfig, Wire};
@@ -84,7 +85,7 @@ pub struct Kernel<P: PayloadInfo + Clone> {
     ops: u64,
     errors: Vec<String>,
     /// Protocol-state coverage recorder, when the run is instrumented
-    /// (campaign explore mode attaches one through the builder).
+    /// (campaign explore mode attaches one through the [`WorldSpec`]).
     coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
 }
 
@@ -286,98 +287,46 @@ impl<P: PayloadInfo + Clone> KernelApi<P> for Kernel<P> {
     }
 }
 
-/// Builder for a [`World`]: configure nodes, transport, tracer; declare
-/// objects; spawn application threads; then [`WorldBuilder::build`] with one
-/// server per node.
-pub struct WorldBuilder {
-    n_nodes: usize,
-    transport: TransportConfig,
-    tracer: Box<dyn Tracer>,
-    #[allow(clippy::type_complexity)]
-    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>)>,
-    decls: Vec<ObjectDecl>,
-    next_object: u64,
-    coverage: Option<std::sync::Arc<munin_obs::CoverageMap>>,
+/// A fully built distributed system, ready to run.
+pub struct World<S: Server> {
+    kernel: Kernel<S::Payload>,
+    servers: Vec<S>,
+    req_rx: Receiver<(ThreadId, ThreadReq)>,
+    joins: Vec<JoinHandle<()>>,
 }
 
-impl WorldBuilder {
-    pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0, "a world needs at least one node");
-        WorldBuilder {
-            n_nodes,
-            transport: TransportConfig::default(),
-            tracer: Box::new(NullTracer),
-            spawns: Vec::new(),
-            decls: Vec::new(),
-            next_object: 0,
-            coverage: None,
-        }
-    }
-
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.transport = cfg;
-        self
-    }
-
-    /// Attach a protocol-state coverage recorder: servers note transitions
-    /// into it through [`KernelApi::coverage`].
-    pub fn coverage(mut self, map: std::sync::Arc<munin_obs::CoverageMap>) -> Self {
-        self.coverage = Some(map);
-        self
-    }
-
-    pub fn tracer(mut self, tracer: Box<dyn Tracer>) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Declare a shared object before the run starts (the common case: the
-    /// paper's programs declare shared data with annotations processed at
-    /// compile time). Returns the assigned id.
-    pub fn declare(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        assert!(home.index() < self.n_nodes, "home {home} out of range");
-        let id = ObjectId(self.next_object);
-        self.next_object += 1;
-        decl.id = id;
-        decl.home = home;
-        self.decls.push(decl);
-        id
-    }
-
-    /// Spawn an application thread on `node`. Threads start simultaneously
-    /// at virtual time zero, in spawn order.
-    pub fn spawn(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut ThreadCtx) + Send + 'static,
-    ) -> ThreadId {
-        assert!(node.index() < self.n_nodes, "node {node} out of range");
-        let id = ThreadId(self.spawns.len() as u32);
-        self.spawns.push((node, Box::new(f)));
-        id
-    }
-
-    /// Finalize with one server per node (`servers[i]` serves `NodeId(i)`).
-    pub fn build<S: Server>(self, servers: Vec<S>) -> World<S> {
-        assert_eq!(servers.len(), self.n_nodes, "need exactly one server per node");
+impl<S: Server> World<S> {
+    /// Build the world for `spec` with one server per node (`servers[i]`
+    /// serves `NodeId(i)`), the simulated `transport`, and an optional
+    /// tracer. Threads start simultaneously at virtual time zero, in spawn
+    /// order.
+    pub fn new(
+        spec: WorldSpec<ThreadCtx>,
+        servers: Vec<S>,
+        transport: TransportConfig,
+        tracer: Option<Box<dyn Tracer>>,
+    ) -> Self {
+        let n_nodes = spec.n_nodes();
+        assert_eq!(servers.len(), n_nodes, "need exactly one server per node");
+        let coverage = spec.coverage.clone();
+        let (decls, spawns) = spec.into_parts();
+        let next_object = decls.len() as u64;
+        let registry: HashMap<ObjectId, ObjectDecl> =
+            decls.into_iter().map(|d| (d.id, d)).collect();
         let (req_tx, req_rx) = unbounded();
-        let n_threads = self.spawns.len();
+        let n_threads = spawns.len();
         let mut threads = Vec::with_capacity(n_threads);
-        let mut threads_on: Vec<Vec<ThreadId>> = vec![Vec::new(); self.n_nodes];
+        let mut threads_on: Vec<Vec<ThreadId>> = vec![Vec::new(); n_nodes];
         let mut joins = Vec::with_capacity(n_threads);
 
-        for (idx, (node, body)) in self.spawns.into_iter().enumerate() {
+        for (idx, (node, body)) in spawns.into_iter().enumerate() {
             let tid = ThreadId(idx as u32);
             let (resume_tx, resume_rx) = unbounded();
             threads_on[node.index()].push(tid);
             let mut ctx = ThreadCtx {
                 thread: tid,
                 node,
-                n_nodes: self.n_nodes,
+                n_nodes,
                 n_threads,
                 req_tx: req_tx.clone(),
                 resume_rx,
@@ -419,43 +368,28 @@ impl WorldBuilder {
             });
         }
 
-        let mut registry = HashMap::new();
-        for d in self.decls {
-            registry.insert(d.id, d);
-        }
-
         World {
             kernel: Kernel {
                 now: VirtualTime::ZERO,
                 events: EventQueue::new(),
-                transport: Transport::new(self.transport),
+                transport: Transport::new(transport),
                 stats_ext: munin_net::NetStats::new(),
                 registry,
                 registry_version: 0,
-                next_object: self.next_object,
+                next_object,
                 threads,
                 threads_on,
-                tracer: self.tracer,
+                tracer: tracer.unwrap_or_else(|| Box::new(NullTracer)),
                 ops: 0,
                 errors: Vec::new(),
-                coverage: self.coverage,
+                coverage,
             },
             servers,
             req_rx,
             joins,
         }
     }
-}
 
-/// A fully built distributed system, ready to run.
-pub struct World<S: Server> {
-    kernel: Kernel<S::Payload>,
-    servers: Vec<S>,
-    req_rx: Receiver<(ThreadId, ThreadReq)>,
-    joins: Vec<JoinHandle<()>>,
-}
-
-impl<S: Server> World<S> {
     /// Run the world to completion: until every thread has exited and every
     /// in-flight message has been delivered. Returns the run report; the
     /// world (and its tracer) are consumed — retrieve tracer output via the
@@ -723,15 +657,15 @@ mod tests {
     }
 
     fn echo_world(bodies: Vec<(NodeId, Box<dyn FnOnce(&mut ThreadCtx) + Send>)>) -> RunReport {
-        let mut b = WorldBuilder::new(2);
+        let mut spec = WorldSpec::new(2);
         for (node, body) in bodies {
-            b.spawn(node, body);
+            spec.spawn(node, body);
         }
         let servers = vec![
             EchoServer { node: NodeId(0), served: 0 },
             EchoServer { node: NodeId(1), served: 0 },
         ];
-        b.build(servers).run()
+        World::new(spec, servers, TransportConfig::default(), None).run()
     }
 
     #[test]
@@ -825,11 +759,12 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_and_reported() {
-        let mut b = WorldBuilder::new(1);
-        b.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
+        let mut spec = WorldSpec::new(1);
+        spec.spawn(NodeId(0), |ctx: &mut ThreadCtx| {
             ctx.read(ObjectId(0), ByteRange::new(0, 4));
         });
-        let report = b.build(vec![BlackHoleServer]).run();
+        let report =
+            World::new(spec, vec![BlackHoleServer], TransportConfig::default(), None).run();
         assert!(report.deadlocked);
         assert!(report.errors.iter().any(|e| e.contains("deadlock")), "{:?}", report.errors);
         assert!(report.errors.iter().any(|e| e.contains("read")), "{:?}", report.errors);
@@ -837,17 +772,18 @@ mod tests {
 
     #[test]
     fn declared_objects_are_visible_in_registry() {
-        let mut b = WorldBuilder::new(2);
+        let mut spec = WorldSpec::new(2);
         let decl = ObjectDecl::new(ObjectId(0), "m", 64, SharingType::WriteMany, NodeId(0));
-        let id = b.declare(decl, NodeId(1));
+        let id = spec.declare(decl, NodeId(1));
         assert_eq!(id, ObjectId(0));
-        b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
+        spec.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
             ctx.compute(1);
         });
-        let w = b.build(vec![
+        let servers = vec![
             EchoServer { node: NodeId(0), served: 0 },
             EchoServer { node: NodeId(1), served: 0 },
-        ]);
+        ];
+        let w = World::new(spec, servers, TransportConfig::default(), None);
         assert_eq!(w.kernel.decl(id).unwrap().home, NodeId(1));
         assert_eq!(w.kernel.decl(id).unwrap().name, "m");
         let report = w.run();

@@ -58,4 +58,4 @@ pub mod world;
 pub use frames::TestFault;
 pub use kernel::TcpKernel;
 pub use spawn::{node_binary, tcp_support};
-pub use world::{TcpTuning, TcpWorldBuilder};
+pub use world::{run_world, TcpTuning};

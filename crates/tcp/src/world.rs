@@ -1,6 +1,6 @@
-//! The coordinator: builds a distributed world, spawns one `munin-node`
-//! process per remote node, hosts node 0's server and **every** application
-//! thread, and assembles the final [`RunReport`].
+//! The coordinator: runs a [`WorldSpec`] as a distributed world — spawns
+//! one `munin-node` process per remote node, hosts node 0's server and
+//! **every** application thread, and assembles the final [`RunReport`].
 //!
 //! Application thread bodies are closures, and closures do not cross
 //! process boundaries — so the coordinator keeps them, and a thread placed
@@ -11,13 +11,12 @@
 //! `Par` surface, and the apps are completely unchanged — only the fabric
 //! under the kernel seam is different.
 //!
-//! The distributed stall watchdog mirrors `munin-rt`'s: children report
-//! activity epochs and pending-timer counts in heartbeats; when every live
-//! thread is blocked and no node shows progress (and no timers are pending
-//! anywhere) for the stall timeout, the run is declared stalled, every
-//! node's `debug_stuck_state` is pulled over the wire into the report, and
-//! everything is poisoned so the process tree tears down instead of
-//! hanging. SIGUSR1 triggers the same collection on demand, without
+//! The distributed stall watchdog applies `munin-rt`'s stall rule
+//! ([`munin_rt::stall`]) to a fingerprint of every node's activity epoch:
+//! children report epochs and pending-timer counts in heartbeats. On a
+//! stall, every node's `debug_stuck_state` is pulled over the wire into the
+//! report, and everything is poisoned so the process tree tears down
+//! instead of hanging. SIGUSR1 triggers the same collection on demand, without
 //! poisoning (see [`crate::sig`]).
 
 use crate::frames::{
@@ -32,17 +31,18 @@ use crate::spawn::spawn_node;
 use crate::wire::Wire;
 use munin_net::{NetStats, PayloadInfo};
 use munin_proto::Protocol;
+use munin_rt::stall::StallDetector;
 use munin_rt::timer::run_timer_thread;
 use munin_rt::{drive_app_thread, server_loop, NodeEvent, RtCtx, RtTuning, Shared};
 use munin_sim::report::{RunReport, WaitTable, WallClock};
-use munin_sim::{OpResult, Server};
-use munin_types::{CostModel, NodeId, ObjectDecl, ObjectId, SyncDecls, ThreadId, VirtualTime};
+use munin_sim::{OpResult, Server, WorldSpec};
+use munin_types::{CostModel, NodeId, ThreadId, VirtualTime};
 use std::collections::BTreeSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,16 +50,18 @@ fn loopback(port: u16) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], port))
 }
 
+/// Budget for process spawn + handshake + mesh establishment.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Child heartbeat period (the distributed watchdog's sampling feed).
+const HEARTBEAT: Duration = Duration::from_millis(25);
+
 /// Tuning of a distributed run. Embeds [`RtTuning`] (compute mode, stall
 /// timeout, batching knobs — same meanings as on the in-process kernel)
 /// plus the fabric-specific knobs.
 #[derive(Clone)]
 pub struct TcpTuning {
     pub rt: RtTuning,
-    /// Budget for process spawn + handshake + mesh establishment.
-    pub connect_timeout: Duration,
-    /// Child heartbeat period (the distributed watchdog's sampling feed).
-    pub heartbeat: Duration,
     /// Deterministic fault injection for the fault-path tests.
     pub test_fault: Option<TestFault>,
     /// Test hook for the on-demand dump path: raise SIGUSR1 at ourselves
@@ -77,13 +79,7 @@ impl Default for TcpTuning {
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_millis);
-        TcpTuning {
-            rt: RtTuning::default(),
-            connect_timeout: Duration::from_secs(30),
-            heartbeat: Duration::from_millis(25),
-            test_fault: None,
-            dump_after,
-        }
+        TcpTuning { rt: RtTuning::default(), test_fault: None, dump_after }
     }
 }
 
@@ -93,89 +89,22 @@ impl From<RtTuning> for TcpTuning {
     }
 }
 
-/// Builder for a distributed world; mirrors `munin_rt::RtWorldBuilder` so
-/// the API harness drives either fabric identically.
-pub struct TcpWorldBuilder<P> {
-    n_nodes: usize,
-    tuning: TcpTuning,
-    decls: Vec<ObjectDecl>,
-    next_object: u64,
-    coverage: Option<Arc<munin_obs::CoverageMap>>,
-    #[allow(clippy::type_complexity)]
-    spawns: Vec<(NodeId, Box<dyn FnOnce(&mut RtCtx<P>) + Send + 'static>)>,
-}
-
-impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> TcpWorldBuilder<P> {
-    pub fn new(n_nodes: usize) -> Self {
-        assert!(n_nodes > 0, "a world needs at least one node");
-        assert!(n_nodes <= u16::MAX as usize, "node ids are u16");
-        TcpWorldBuilder {
-            n_nodes,
-            tuning: TcpTuning::default(),
-            decls: Vec::new(),
-            next_object: 0,
-            coverage: None,
-            spawns: Vec::new(),
-        }
-    }
-
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    pub fn tuning(mut self, tuning: TcpTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Attach a protocol-state coverage recorder. Node 0's server notes
-    /// transitions into it directly; children keep a local map (switched on
-    /// by the start frame) and ship their rows home in their `Done` frame,
-    /// where the teardown drain merges them in.
-    pub fn coverage(mut self, map: Arc<munin_obs::CoverageMap>) -> Self {
-        self.coverage = Some(map);
-        self
-    }
-
-    /// Declare a shared object before the run starts (dense ids in
-    /// declaration order — same contract as the other builders).
-    pub fn declare(&mut self, mut decl: ObjectDecl, home: NodeId) -> ObjectId {
-        assert!(home.index() < self.n_nodes, "home {home} out of range");
-        let id = ObjectId(self.next_object);
-        self.next_object += 1;
-        decl.id = id;
-        decl.home = home;
-        self.decls.push(decl);
-        id
-    }
-
-    /// Spawn an application thread on `node`. The closure runs in the
-    /// coordinator process; its DSM operations are forwarded to `node`'s
-    /// server process.
-    pub fn spawn(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut RtCtx<P>) + Send + 'static,
-    ) -> ThreadId {
-        assert!(node.index() < self.n_nodes, "node {node} out of range");
-        let id = ThreadId(self.spawns.len() as u32);
-        self.spawns.push((node, Box::new(f)));
-        id
-    }
-}
-
-impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> TcpWorldBuilder<P> {
-    /// Run under protocol `Pr`: node 0's server in-process, one
-    /// `munin-node` process per remote node. The children rebuild the same
-    /// server from `Pr::TAG` plus the `Wire`-encoded config in the start
-    /// frame, so any protocol whose tag the node binary links runs over
-    /// this fabric unchanged.
-    pub fn run_proto<Pr: Protocol<Msg = P>>(self, cfg: Pr::Config, sync: SyncDecls) -> RunReport {
-        let server0 = Pr::server(&cfg, NodeId(0), self.n_nodes, &self.decls, &sync);
-        let cost = Pr::cost(&cfg).clone();
-        let proto_cfg = cfg.encode();
-        self.run_inner(server0, cost, Pr::TAG, proto_cfg, sync)
-    }
+/// Run `spec` under protocol `Pr`: node 0's server in-process, one
+/// `munin-node` process per remote node. The children rebuild the same
+/// server from `Pr::TAG` plus the `Wire`-encoded config in the start frame,
+/// so any protocol whose tag the node binary links runs over this fabric
+/// unchanged. Thread bodies run in this (coordinator) process; a thread's
+/// DSM operations are forwarded to its node's server process. A coverage
+/// recorder in `spec` takes node 0's transitions directly; children record
+/// locally and ship their rows home in their `Done` frame.
+pub fn run_world<Pr: Protocol>(
+    spec: WorldSpec<RtCtx<Pr::Msg>>,
+    cfg: Pr::Config,
+    tuning: &TcpTuning,
+) -> RunReport {
+    let server0 = Pr::server(&cfg, NodeId(0), spec.n_nodes(), spec.decls(), &spec.sync);
+    let cost = Pr::cost(&cfg).clone();
+    run_inner(spec, server0, cost, Pr::TAG, cfg.encode(), tuning)
 }
 
 /// Per-child liveness/progress snapshot fed by heartbeats (slot 0 unused).
@@ -193,458 +122,449 @@ impl HbTable {
     }
 }
 
-impl<P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static> TcpWorldBuilder<P> {
-    fn run_inner<S>(
-        self,
-        server0: S,
-        cost: CostModel,
-        proto_tag: u8,
-        proto_cfg: Vec<u8>,
-        sync: SyncDecls,
-    ) -> RunReport
-    where
-        S: Server<Payload = P> + 'static,
-    {
-        let n_nodes = self.n_nodes;
-        let n_threads = self.spawns.len();
-        let tuning = self.tuning.clone();
-        let mut shared0 = Shared::new(Vec::new(), n_threads, tuning.rt.telemetry);
-        shared0.coverage = self.coverage.clone();
-        let shared = Arc::new(shared0);
-        let finishing = Arc::new(AtomicBool::new(false));
-        let dumps = Arc::new(Mutex::new(Vec::<String>::new()));
-        sig::install();
+fn run_inner<P, S>(
+    spec: WorldSpec<RtCtx<P>>,
+    server0: S,
+    cost: CostModel,
+    proto_tag: u8,
+    proto_cfg: Vec<u8>,
+    tuning: &TcpTuning,
+) -> RunReport
+where
+    P: PayloadInfo + Wire + Send + Sync + Clone + std::fmt::Debug + 'static,
+    S: Server<Payload = P> + 'static,
+{
+    let n_nodes = spec.n_nodes();
+    let n_threads = spec.n_threads();
+    let sync = spec.sync.clone();
+    let mut shared0 = Shared::new(Vec::new(), n_threads, tuning.rt.telemetry);
+    shared0.coverage = spec.coverage.clone();
+    let (decls, spawns) = spec.into_parts();
+    let shared = Arc::new(shared0);
+    let finishing = Arc::new(AtomicBool::new(false));
+    let dumps = Arc::new(Mutex::new(Vec::<String>::new()));
+    sig::install();
 
-        // ---- node 0 plumbing --------------------------------------------
-        let (inbox_tx, inbox_rx) = channel::<NodeEvent<P>>();
-        let mut resume_txs: Vec<Sender<OpResult>> = Vec::with_capacity(n_threads);
-        let mut resume_rxs: Vec<Receiver<OpResult>> = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let (tx, rx) = channel();
-            resume_txs.push(tx);
-            resume_rxs.push(rx);
-        }
+    // ---- node 0 plumbing --------------------------------------------
+    let (inbox_tx, inbox_rx) = channel::<NodeEvent<P>>();
+    let mut resume_txs: Vec<Sender<OpResult>> = Vec::with_capacity(n_threads);
+    let mut resume_rxs: Vec<Receiver<OpResult>> = Vec::with_capacity(n_threads);
+    for _ in 0..n_threads {
+        let (tx, rx) = channel();
+        resume_txs.push(tx);
+        resume_rxs.push(rx);
+    }
 
-        // ---- spawn and handshake the children ---------------------------
-        let listener = TcpListener::bind(loopback(0)).expect("binding loopback listener");
-        let port = listener.local_addr().expect("listener addr").port();
-        let mut children: Vec<(NodeId, Child)> = Vec::new();
-        for i in 1..n_nodes {
-            let child = spawn_node(port, i as u16).unwrap_or_else(|e| {
-                panic!(
-                    "spawning munin-node for n{i} failed: {e} (probe with \
-                     munin_tcp::tcp_support() before choosing a tcp backend)"
-                )
-            });
-            children.push((NodeId(i as u16), child));
-        }
-
-        let deadline = Instant::now() + tuning.connect_timeout;
-        let mut ctrl_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
-        let mut data_ports: Vec<u16> = vec![0; n_nodes];
-        accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
-            if kind != STREAM_CTRL {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "data stream arrived before Start was sent",
-                ));
-            }
-            let mut buf = Vec::new();
-            match read_frame::<CtrlFrame>(&mut stream, &mut buf)? {
-                CtrlFrame::Hello { node, data_port } => {
-                    // Handshake over for this stream: reads block freely
-                    // from here on (liveness is the heartbeats' job).
-                    stream.set_read_timeout(None)?;
-                    data_ports[node.index()] = data_port;
-                    ctrl_streams[node.index()] = Some(stream);
-                    Ok(())
-                }
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected control Hello, got {other:?}"),
-                )),
-            }
-        })
-        .expect("control handshake with node processes");
-
-        data_ports[0] = port;
-        let peers_table: Vec<(NodeId, u16)> =
-            (0..n_nodes).map(|i| (NodeId(i as u16), data_ports[i])).collect();
-        let ctrl_writers: Vec<Option<SharedWriter>> = ctrl_streams
-            .iter()
-            .map(|s| s.as_ref().map(|s| shared_writer(s.try_clone().expect("clone ctrl stream"))))
-            .collect();
-        for i in 1..n_nodes {
-            let start = StartConfig {
-                node: NodeId(i as u16),
-                n_nodes: n_nodes as u16,
-                proto_tag: crate::wire::ProtoTag(proto_tag),
-                proto_cfg: proto_cfg.clone(),
-                decls: self.decls.clone(),
-                sync: sync.clone(),
-                batch_max: tuning.rt.batch_max,
-                coalesce: tuning.rt.coalesce,
-                heartbeat: tuning.heartbeat,
-                peers: peers_table.clone(),
-                test_fault: tuning.test_fault,
-                telemetry: tuning.rt.telemetry,
-                coverage: shared.coverage.is_some(),
-                n_threads,
-            };
-            send_shared(
-                ctrl_writers[i].as_ref().expect("ctrl writer exists"),
-                &CtrlFrame::Start(Box::new(start)),
+    // ---- spawn and handshake the children ---------------------------
+    let listener = TcpListener::bind(loopback(0)).expect("binding loopback listener");
+    let port = listener.local_addr().expect("listener addr").port();
+    let mut children: Vec<(NodeId, Child)> = Vec::new();
+    for i in 1..n_nodes {
+        let child = spawn_node(port, i as u16).unwrap_or_else(|e| {
+            panic!(
+                "spawning munin-node for n{i} failed: {e} (probe with \
+                 munin_tcp::tcp_support() before choosing a tcp backend)"
             )
-            .expect("sending Start");
-        }
+        });
+        children.push((NodeId(i as u16), child));
+    }
 
-        // ---- accept the children's data streams to node 0 ---------------
-        let mut peer_writers: Vec<Option<SharedWriter>> = (0..n_nodes).map(|_| None).collect();
-        accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
-            if kind != STREAM_DATA {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected second control stream",
-                ));
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let mut ctrl_streams: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
+    let mut data_ports: Vec<u16> = vec![0; n_nodes];
+    accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
+        if kind != STREAM_CTRL {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "data stream arrived before Start was sent",
+            ));
+        }
+        let mut buf = Vec::new();
+        match read_frame::<CtrlFrame>(&mut stream, &mut buf)? {
+            CtrlFrame::Hello { node, data_port } => {
+                // Handshake over for this stream: reads block freely
+                // from here on (liveness is the heartbeats' job).
+                stream.set_read_timeout(None)?;
+                data_ports[node.index()] = data_port;
+                ctrl_streams[node.index()] = Some(stream);
+                Ok(())
             }
-            let mut buf = Vec::new();
-            match read_frame::<crate::frames::DataFrame<P>>(&mut stream, &mut buf)? {
-                crate::frames::DataFrame::Hello { src } => {
-                    stream.set_read_timeout(None)?;
-                    spawn_data_reader::<P>(
-                        stream.try_clone()?,
-                        src,
-                        inbox_tx.clone(),
-                        shared.clone(),
-                        finishing.clone(),
-                        None,
-                    );
-                    peer_writers[src.index()] = Some(shared_writer(stream));
-                    Ok(())
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected control Hello, got {other:?}"),
+            )),
+        }
+    })
+    .expect("control handshake with node processes");
+
+    data_ports[0] = port;
+    let peers_table: Vec<(NodeId, u16)> =
+        (0..n_nodes).map(|i| (NodeId(i as u16), data_ports[i])).collect();
+    let ctrl_writers: Vec<Option<SharedWriter>> = ctrl_streams
+        .iter()
+        .map(|s| s.as_ref().map(|s| shared_writer(s.try_clone().expect("clone ctrl stream"))))
+        .collect();
+    for i in 1..n_nodes {
+        let start = StartConfig {
+            node: NodeId(i as u16),
+            n_nodes: n_nodes as u16,
+            proto_tag: crate::wire::ProtoTag(proto_tag),
+            proto_cfg: proto_cfg.clone(),
+            decls: decls.clone(),
+            sync: sync.clone(),
+            batch_max: tuning.rt.batch_max,
+            coalesce: tuning.rt.coalesce,
+            heartbeat: HEARTBEAT,
+            peers: peers_table.clone(),
+            test_fault: tuning.test_fault,
+            telemetry: tuning.rt.telemetry,
+            coverage: shared.coverage.is_some(),
+            n_threads,
+        };
+        send_shared(
+            ctrl_writers[i].as_ref().expect("ctrl writer exists"),
+            &CtrlFrame::Start(Box::new(start)),
+        )
+        .expect("sending Start");
+    }
+
+    // ---- accept the children's data streams to node 0 ---------------
+    let mut peer_writers: Vec<Option<SharedWriter>> = (0..n_nodes).map(|_| None).collect();
+    accept_streams(&listener, deadline, n_nodes - 1, |kind, mut stream| {
+        if kind != STREAM_DATA {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "unexpected second control stream",
+            ));
+        }
+        let mut buf = Vec::new();
+        match read_frame::<crate::frames::DataFrame<P>>(&mut stream, &mut buf)? {
+            crate::frames::DataFrame::Hello { src } => {
+                stream.set_read_timeout(None)?;
+                spawn_data_reader::<P>(
+                    stream.try_clone()?,
+                    src,
+                    inbox_tx.clone(),
+                    shared.clone(),
+                    finishing.clone(),
+                    None,
+                );
+                peer_writers[src.index()] = Some(shared_writer(stream));
+                Ok(())
+            }
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected data Hello, got {other:?}"),
+            )),
+        }
+    })
+    .expect("data-stream handshake with node processes");
+
+    // ---- control readers, registry service, heartbeat table ---------
+    let (reg_tx, reg_rx) = channel::<RegEvent>();
+    let (ready_tx, ready_rx) = channel::<NodeId>();
+    #[allow(clippy::type_complexity)]
+    let (done_tx, done_rx) =
+        channel::<(NodeId, NetStats, Vec<String>, Vec<(ThreadId, u64)>, Vec<munin_obs::CovRow>)>();
+    let (dump_tx, dump_rx) = channel::<(NodeId, String)>();
+    let hb = Arc::new(HbTable::new(n_nodes));
+    for (i, stream) in ctrl_streams.into_iter().enumerate() {
+        let Some(stream) = stream else { continue };
+        spawn_coord_ctrl_reader(
+            stream,
+            NodeId(i as u16),
+            resume_txs.clone(),
+            reg_tx.clone(),
+            ready_tx.clone(),
+            done_tx.clone(),
+            dump_tx.clone(),
+            hb.clone(),
+            shared.clone(),
+            finishing.clone(),
+        );
+    }
+    drop(ready_tx);
+    drop(done_tx);
+    drop(dump_tx);
+
+    let cache0 = Arc::new(RegCache::new(&decls));
+    let (reg_reply_tx0, reg_reply_rx0) = channel::<RegReply>();
+    let reg_ports: Vec<RegPort> = (0..n_nodes)
+        .map(|i| {
+            if i == 0 {
+                RegPort::Local { cache: cache0.clone(), reply_tx: reg_reply_tx0.clone() }
+            } else {
+                RegPort::Remote {
+                    ctrl: ctrl_writers[i].as_ref().expect("ctrl writer exists").clone(),
                 }
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected data Hello, got {other:?}"),
-                )),
             }
         })
-        .expect("data-stream handshake with node processes");
+        .collect();
+    let registry_join = {
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name("tcp-registry".into())
+            .spawn(move || run_registry_service(reg_rx, reg_ports, decls, shared))
+            .expect("failed to spawn registry thread")
+    };
 
-        // ---- control readers, registry service, heartbeat table ---------
-        let (reg_tx, reg_rx) = channel::<RegEvent>();
-        let (ready_tx, ready_rx) = channel::<NodeId>();
-        #[allow(clippy::type_complexity)]
-        let (done_tx, done_rx) = channel::<(
-            NodeId,
-            NetStats,
-            Vec<String>,
-            Vec<(ThreadId, u64)>,
-            Vec<munin_obs::CovRow>,
-        )>();
-        let (dump_tx, dump_rx) = channel::<(NodeId, String)>();
-        let hb = Arc::new(HbTable::new(n_nodes));
-        for (i, stream) in ctrl_streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            spawn_coord_ctrl_reader(
-                stream,
-                NodeId(i as u16),
-                resume_txs.clone(),
-                reg_tx.clone(),
-                ready_tx.clone(),
-                done_tx.clone(),
-                dump_tx.clone(),
-                hb.clone(),
-                shared.clone(),
-                finishing.clone(),
-            );
+    // ---- wait for every child to report Ready -----------------------
+    let mut ready: BTreeSet<NodeId> = BTreeSet::new();
+    while ready.len() < n_nodes - 1 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match ready_rx.recv_timeout(left) {
+            Ok(node) => {
+                ready.insert(node);
+            }
+            Err(_) => {
+                panic!("node processes not Ready within {:?} (got {ready:?})", CONNECT_TIMEOUT)
+            }
         }
-        drop(ready_tx);
-        drop(done_tx);
-        drop(dump_tx);
+    }
 
-        let cache0 = Arc::new(RegCache::new(&self.decls));
-        let (reg_reply_tx0, reg_reply_rx0) = channel::<RegReply>();
-        let reg_ports: Vec<RegPort> = (0..n_nodes)
-            .map(|i| {
-                if i == 0 {
-                    RegPort::Local { cache: cache0.clone(), reply_tx: reg_reply_tx0.clone() }
-                } else {
-                    RegPort::Remote {
-                        ctrl: ctrl_writers[i].as_ref().expect("ctrl writer exists").clone(),
+    // ---- node 0's server thread and timer ---------------------------
+    let (timer_tx, timer_rx) = channel();
+    let timer_join = {
+        let inboxes = vec![inbox_tx.clone(); n_nodes];
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name("tcp-n0-timer".into())
+            .spawn(move || run_timer_thread(timer_rx, inboxes, shared))
+            .expect("failed to spawn timer thread")
+    };
+    let kernel = TcpKernel {
+        node: NodeId(0),
+        cost,
+        peers: peer_writers,
+        resumes: ResumeSink::Local(resume_txs.clone()),
+        timer_tx,
+        shared: shared.clone(),
+        registry: RegClient {
+            cache: cache0,
+            path: RegWritePath::Local { tx: reg_tx.clone(), node: NodeId(0) },
+            reply_rx: reg_reply_rx0,
+            shared: shared.clone(),
+        },
+        stats: NetStats::new(),
+        coalesce: tuning.rt.coalesce,
+        outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
+        scratch: Vec::new(),
+        completions: Vec::new(),
+    };
+    let node0_join = {
+        let inbox_rx = inbox_rx;
+        let batch_max = tuning.rt.batch_max;
+        std::thread::Builder::new()
+            .name("tcp-n0-server".into())
+            .spawn(move || server_loop(server0, kernel, inbox_rx, batch_max))
+            .expect("failed to spawn node 0 server thread")
+    };
+    drop(reg_tx);
+    drop(reg_reply_tx0);
+
+    // ---- forwarders: remote-node app ops → control frames -----------
+    let mut op_txs: Vec<Option<Sender<NodeEvent<P>>>> = (0..n_nodes).map(|_| None).collect();
+    for i in 1..n_nodes {
+        let (tx, rx) = channel::<NodeEvent<P>>();
+        op_txs[i] = Some(tx);
+        let ctrl = ctrl_writers[i].as_ref().expect("ctrl writer exists").clone();
+        let shared = shared.clone();
+        let finishing = finishing.clone();
+        let node = NodeId(i as u16);
+        std::thread::Builder::new()
+            .name(format!("tcp-fwd-n{i}"))
+            .spawn(move || {
+                // With pipelined clients, ops pile up in the channel
+                // while the previous frame is on the wire: drain them
+                // into one OpBatch frame per wake-up (bounded, so one
+                // hot thread cannot starve the flush) instead of one
+                // frame — and one syscall — per op.
+                const FWD_BATCH_MAX: usize = 64;
+                let mut batch: Vec<(munin_types::ThreadId, munin_sim::DsmOp)> = Vec::new();
+                for ev in rx.iter() {
+                    batch.clear();
+                    if let NodeEvent::Op(thread, op) = ev {
+                        batch.push((thread, op));
+                    }
+                    while batch.len() < FWD_BATCH_MAX {
+                        match rx.try_recv() {
+                            Ok(NodeEvent::Op(thread, op)) => batch.push((thread, op)),
+                            Ok(_) => continue,
+                            Err(_) => break,
+                        }
+                    }
+                    // Spans: stamp the drain instant as the ops' "hit
+                    // the wire" mark (one clock read per frame — the
+                    // drained ops leave together anyway).
+                    let fwd_us = if shared.obs.spans() { munin_obs::wall_us() } else { 0 };
+                    let r = match batch.len() {
+                        0 => continue,
+                        1 => {
+                            let (thread, op) = batch.pop().expect("len checked");
+                            send_shared(&ctrl, &CtrlFrame::Op { thread, op, fwd_us })
+                        }
+                        _ => send_shared(
+                            &ctrl,
+                            &CtrlFrame::OpBatch { ops: std::mem::take(&mut batch), fwd_us },
+                        ),
+                    };
+                    if let Err(e) = r {
+                        if !finishing.load(Ordering::SeqCst) && !shared.is_poisoned() {
+                            shared.error(format!(
+                                "forwarding op to node n{} failed: {e} — peer lost",
+                                node.index()
+                            ));
+                            shared.poisoned.store(true, Ordering::Release);
+                        }
                     }
                 }
             })
-            .collect();
-        let registry_join = {
-            let decls = self.decls.clone();
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("tcp-registry".into())
-                .spawn(move || run_registry_service(reg_rx, reg_ports, decls, shared))
-                .expect("failed to spawn registry thread")
-        };
+            .expect("failed to spawn op forwarder");
+    }
 
-        // ---- wait for every child to report Ready -----------------------
-        let mut ready: BTreeSet<NodeId> = BTreeSet::new();
-        while ready.len() < n_nodes - 1 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match ready_rx.recv_timeout(left) {
-                Ok(node) => {
-                    ready.insert(node);
+    // ---- watchdog ----------------------------------------------------
+    let (watchdog_stop_tx, watchdog_stop_rx) = channel::<()>();
+    let watchdog_join = {
+        let shared = shared.clone();
+        let hb = hb.clone();
+        let inbox_tx = inbox_tx.clone();
+        let ctrl_writers = ctrl_writers.clone();
+        let stall = StallDetector::new(tuning.rt.stall_timeout);
+        let dump_after = tuning.dump_after;
+        let dumps = dumps.clone();
+        std::thread::Builder::new()
+            .name("tcp-watchdog".into())
+            .spawn(move || {
+                coordinator_watchdog(
+                    shared,
+                    hb,
+                    inbox_tx,
+                    ctrl_writers,
+                    dump_rx,
+                    stall,
+                    dump_after,
+                    dumps,
+                    watchdog_stop_rx,
+                )
+            })
+            .expect("failed to spawn watchdog thread")
+    };
+
+    // ---- application threads (all hosted here) ----------------------
+    let mut app_joins = Vec::with_capacity(n_threads);
+    for ((idx, (node, body)), resume_rx) in spawns.into_iter().enumerate().zip(resume_rxs) {
+        let tid = ThreadId(idx as u32);
+        let to_server = if node.index() == 0 {
+            inbox_tx.clone()
+        } else {
+            op_txs[node.index()].as_ref().expect("forwarder exists").clone()
+        };
+        let ctx = RtCtx::new(
+            tid,
+            node,
+            n_nodes,
+            n_threads,
+            to_server,
+            resume_rx,
+            shared.clone(),
+            tuning.rt.clone(),
+        );
+        app_joins.push(
+            std::thread::Builder::new()
+                .name(format!("tcp-{tid}"))
+                .spawn(move || drive_app_thread(ctx, body))
+                .expect("failed to spawn application thread"),
+        );
+    }
+    drop(op_txs);
+
+    let thread_waits: Vec<WaitTable> =
+        app_joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
+
+    // ---- teardown ----------------------------------------------------
+    drop(watchdog_stop_tx);
+    let _ = watchdog_join.join();
+    finishing.store(true, Ordering::SeqCst);
+    let poisoned = shared.is_poisoned();
+    for w in ctrl_writers.iter().flatten() {
+        let frame = if poisoned { CtrlFrame::Poison } else { CtrlFrame::Finish };
+        let _ = send_shared(w, &frame);
+    }
+    let _ = inbox_tx.send(NodeEvent::Shutdown);
+    let mut stats = node0_join.join().unwrap_or_default();
+    // Collect the children's Done reports (traffic shards + error logs)
+    // on poisoned runs too — that is where a child-side root-cause
+    // error recorded via `KernelApi::error` lives. Surviving children
+    // still send Done when their loop exits on Poison; only the drain
+    // budget differs (dead processes just time out).
+    let done_budget = if poisoned { Duration::from_millis(1500) } else { Duration::from_secs(10) };
+    let deadline = Instant::now() + done_budget;
+    let mut reported: BTreeSet<NodeId> = BTreeSet::new();
+    while reported.len() < n_nodes - 1 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match done_rx.recv_timeout(left) {
+            Ok((node, node_stats, errors, homes, cover)) => {
+                reported.insert(node);
+                stats.merge(&node_stats);
+                shared.obs.ingest_homes(&homes);
+                if let Some(map) = shared.coverage.as_ref() {
+                    map.ingest(&cover);
                 }
-                Err(_) => panic!(
-                    "node processes not Ready within {:?} (got {ready:?})",
-                    tuning.connect_timeout
-                ),
+                for e in errors {
+                    // A child's async `ReportError` and its Done log
+                    // carry the same string; don't record it twice.
+                    let line = format!("[n{}] {e}", node.index());
+                    let mut log = shared.errors.lock().expect("error log poisoned");
+                    if !log.contains(&line) {
+                        log.push(line);
+                    }
+                }
             }
-        }
-
-        // ---- node 0's server thread and timer ---------------------------
-        let (timer_tx, timer_rx) = channel();
-        let timer_join = {
-            let inboxes = vec![inbox_tx.clone(); n_nodes];
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("tcp-n0-timer".into())
-                .spawn(move || run_timer_thread(timer_rx, inboxes, shared))
-                .expect("failed to spawn timer thread")
-        };
-        let kernel = TcpKernel {
-            node: NodeId(0),
-            cost,
-            peers: peer_writers,
-            resumes: ResumeSink::Local(resume_txs.clone()),
-            timer_tx,
-            shared: shared.clone(),
-            registry: RegClient {
-                cache: cache0,
-                path: RegWritePath::Local { tx: reg_tx.clone(), node: NodeId(0) },
-                reply_rx: reg_reply_rx0,
-                shared: shared.clone(),
-            },
-            stats: NetStats::new(),
-            coalesce: tuning.rt.coalesce,
-            outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-            scratch: Vec::new(),
-            completions: Vec::new(),
-        };
-        let node0_join = {
-            let inbox_rx = inbox_rx;
-            let batch_max = tuning.rt.batch_max;
-            std::thread::Builder::new()
-                .name("tcp-n0-server".into())
-                .spawn(move || server_loop(server0, kernel, inbox_rx, batch_max))
-                .expect("failed to spawn node 0 server thread")
-        };
-        drop(reg_tx);
-        drop(reg_reply_tx0);
-
-        // ---- forwarders: remote-node app ops → control frames -----------
-        let mut op_txs: Vec<Option<Sender<NodeEvent<P>>>> = (0..n_nodes).map(|_| None).collect();
-        for i in 1..n_nodes {
-            let (tx, rx) = channel::<NodeEvent<P>>();
-            op_txs[i] = Some(tx);
-            let ctrl = ctrl_writers[i].as_ref().expect("ctrl writer exists").clone();
-            let shared = shared.clone();
-            let finishing = finishing.clone();
-            let node = NodeId(i as u16);
-            std::thread::Builder::new()
-                .name(format!("tcp-fwd-n{i}"))
-                .spawn(move || {
-                    // With pipelined clients, ops pile up in the channel
-                    // while the previous frame is on the wire: drain them
-                    // into one OpBatch frame per wake-up (bounded, so one
-                    // hot thread cannot starve the flush) instead of one
-                    // frame — and one syscall — per op.
-                    const FWD_BATCH_MAX: usize = 64;
-                    let mut batch: Vec<(munin_types::ThreadId, munin_sim::DsmOp)> = Vec::new();
-                    for ev in rx.iter() {
-                        batch.clear();
-                        if let NodeEvent::Op(thread, op) = ev {
-                            batch.push((thread, op));
-                        }
-                        while batch.len() < FWD_BATCH_MAX {
-                            match rx.try_recv() {
-                                Ok(NodeEvent::Op(thread, op)) => batch.push((thread, op)),
-                                Ok(_) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                        // Spans: stamp the drain instant as the ops' "hit
-                        // the wire" mark (one clock read per frame — the
-                        // drained ops leave together anyway).
-                        let fwd_us = if shared.obs.spans() { munin_obs::wall_us() } else { 0 };
-                        let r = match batch.len() {
-                            0 => continue,
-                            1 => {
-                                let (thread, op) = batch.pop().expect("len checked");
-                                send_shared(&ctrl, &CtrlFrame::Op { thread, op, fwd_us })
-                            }
-                            _ => send_shared(
-                                &ctrl,
-                                &CtrlFrame::OpBatch { ops: std::mem::take(&mut batch), fwd_us },
-                            ),
-                        };
-                        if let Err(e) = r {
-                            if !finishing.load(Ordering::SeqCst) && !shared.is_poisoned() {
-                                shared.error(format!(
-                                    "forwarding op to node n{} failed: {e} — peer lost",
-                                    node.index()
-                                ));
-                                shared.poisoned.store(true, Ordering::Release);
-                            }
+            Err(_) => {
+                // Missing Done on a *clean* run is itself an error; on
+                // a poisoned run the absentees are expected casualties.
+                if !poisoned {
+                    for i in 1..n_nodes {
+                        if !reported.contains(&NodeId(i as u16)) {
+                            shared.error(format!(
+                                "node n{i} process did not report Done within \
+                                 {done_budget:?}"
+                            ));
                         }
                     }
-                })
-                .expect("failed to spawn op forwarder");
+                }
+                break;
+            }
         }
-
-        // ---- watchdog ----------------------------------------------------
-        let (watchdog_stop_tx, watchdog_stop_rx) = channel::<()>();
-        let watchdog_join = {
-            let shared = shared.clone();
-            let hb = hb.clone();
-            let inbox_tx = inbox_tx.clone();
-            let ctrl_writers = ctrl_writers.clone();
-            let tuning = tuning.clone();
-            let dumps = dumps.clone();
-            std::thread::Builder::new()
-                .name("tcp-watchdog".into())
-                .spawn(move || {
-                    coordinator_watchdog(
-                        shared,
-                        hb,
-                        inbox_tx,
-                        ctrl_writers,
-                        dump_rx,
-                        tuning,
-                        dumps,
-                        watchdog_stop_rx,
-                    )
-                })
-                .expect("failed to spawn watchdog thread")
-        };
-
-        // ---- application threads (all hosted here) ----------------------
-        let mut app_joins = Vec::with_capacity(n_threads);
-        for ((idx, (node, body)), resume_rx) in self.spawns.into_iter().enumerate().zip(resume_rxs)
-        {
-            let tid = ThreadId(idx as u32);
-            let to_server = if node.index() == 0 {
-                inbox_tx.clone()
-            } else {
-                op_txs[node.index()].as_ref().expect("forwarder exists").clone()
-            };
-            let ctx = RtCtx::new(
-                tid,
-                node,
-                n_nodes,
-                n_threads,
-                to_server,
-                resume_rx,
-                shared.clone(),
-                tuning.rt.clone(),
-            );
-            app_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("tcp-{tid}"))
-                    .spawn(move || drive_app_thread(ctx, body))
-                    .expect("failed to spawn application thread"),
-            );
-        }
-        drop(op_txs);
-
-        let thread_waits: Vec<WaitTable> =
-            app_joins.into_iter().map(|j| j.join().unwrap_or_default()).collect();
-
-        // ---- teardown ----------------------------------------------------
-        drop(watchdog_stop_tx);
-        let _ = watchdog_join.join();
-        finishing.store(true, Ordering::SeqCst);
-        let poisoned = shared.is_poisoned();
+    }
+    // Phase two of the clean shutdown: every node is known quiescent
+    // (its Done arrived or timed out), so children may now close their
+    // sockets without a sibling mistaking it for a mid-run fault.
+    if !poisoned {
         for w in ctrl_writers.iter().flatten() {
-            let frame = if poisoned { CtrlFrame::Poison } else { CtrlFrame::Finish };
-            let _ = send_shared(w, &frame);
+            let _ = send_shared(w, &CtrlFrame::Bye);
         }
-        let _ = inbox_tx.send(NodeEvent::Shutdown);
-        let mut stats = node0_join.join().unwrap_or_default();
-        // Collect the children's Done reports (traffic shards + error logs)
-        // on poisoned runs too — that is where a child-side root-cause
-        // error recorded via `KernelApi::error` lives. Surviving children
-        // still send Done when their loop exits on Poison; only the drain
-        // budget differs (dead processes just time out).
-        let done_budget =
-            if poisoned { Duration::from_millis(1500) } else { Duration::from_secs(10) };
-        let deadline = Instant::now() + done_budget;
-        let mut reported: BTreeSet<NodeId> = BTreeSet::new();
-        while reported.len() < n_nodes - 1 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match done_rx.recv_timeout(left) {
-                Ok((node, node_stats, errors, homes, cover)) => {
-                    reported.insert(node);
-                    stats.merge(&node_stats);
-                    shared.obs.ingest_homes(&homes);
-                    if let Some(map) = shared.coverage.as_ref() {
-                        map.ingest(&cover);
-                    }
-                    for e in errors {
-                        // A child's async `ReportError` and its Done log
-                        // carry the same string; don't record it twice.
-                        let line = format!("[n{}] {e}", node.index());
-                        let mut log = shared.errors.lock().expect("error log poisoned");
-                        if !log.contains(&line) {
-                            log.push(line);
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Missing Done on a *clean* run is itself an error; on
-                    // a poisoned run the absentees are expected casualties.
-                    if !poisoned {
-                        for i in 1..n_nodes {
-                            if !reported.contains(&NodeId(i as u16)) {
-                                shared.error(format!(
-                                    "node n{i} process did not report Done within \
-                                     {done_budget:?}"
-                                ));
-                            }
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        // Phase two of the clean shutdown: every node is known quiescent
-        // (its Done arrived or timed out), so children may now close their
-        // sockets without a sibling mistaking it for a mid-run fault.
-        if !poisoned {
-            for w in ctrl_writers.iter().flatten() {
-                let _ = send_shared(w, &CtrlFrame::Bye);
-            }
-        }
-        drop(inbox_tx);
-        let _ = timer_join.join();
-        reap_children(children, &shared);
-        let _ = registry_join.join();
+    }
+    drop(inbox_tx);
+    let _ = timer_join.join();
+    reap_children(children, &shared);
+    let _ = registry_join.join();
 
-        let elapsed = shared.start.elapsed();
-        let errors = shared.errors.lock().expect("error log poisoned").clone();
-        let mut dumps = std::mem::take(&mut *dumps.lock().expect("dump log poisoned"));
-        dumps.extend(shared.take_dumps());
-        let metrics = tuning.rt.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
-        RunReport {
-            finished_at: VirtualTime::micros(
-                u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-            ),
-            stats,
-            ops: shared.ops.load(Ordering::Relaxed),
-            thread_waits,
-            errors,
-            deadlocked: shared.is_poisoned(),
-            wall: Some(WallClock { elapsed, workers: n_threads, nodes: n_nodes }),
-            dumps,
-            metrics,
-        }
+    let elapsed = shared.start.elapsed();
+    let errors = shared.errors.lock().expect("error log poisoned").clone();
+    let mut dumps = std::mem::take(&mut *dumps.lock().expect("dump log poisoned"));
+    dumps.extend(shared.take_dumps());
+    let metrics = tuning.rt.telemetry.enabled().then(|| shared.obs.snapshot(stats.clone()));
+    RunReport {
+        finished_at: VirtualTime::micros(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)),
+        stats,
+        ops: shared.ops.load(Ordering::Relaxed),
+        thread_waits,
+        errors,
+        deadlocked: shared.is_poisoned(),
+        wall: Some(WallClock { elapsed, workers: n_threads, nodes: n_nodes }),
+        dumps,
+        metrics,
     }
 }
 
@@ -748,19 +668,15 @@ fn coordinator_watchdog<P: Send + Sync + 'static>(
     inbox_tx: Sender<NodeEvent<P>>,
     ctrl_writers: Vec<Option<SharedWriter>>,
     dump_rx: Receiver<(NodeId, String)>,
-    tuning: TcpTuning,
+    mut stall: StallDetector,
+    dump_after: Option<Duration>,
     dumps: Arc<Mutex<Vec<String>>>,
     stop: Receiver<()>,
 ) {
     let n_nodes = ctrl_writers.len();
-    let mut fingerprint: Vec<u64> = Vec::new();
-    let mut stable_since = Instant::now();
-    let mut dump_at = tuning.dump_after.map(|d| shared.start + d);
-    loop {
-        match stop.recv_timeout(tuning.rt.watchdog_poll) {
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
+    let mut fp: Vec<u64> = Vec::with_capacity(n_nodes);
+    let mut dump_at = dump_after.map(|d| shared.start + d);
+    while stall.poll(&stop) {
         if let Some(at) = dump_at {
             if Instant::now() >= at {
                 dump_at = None;
@@ -786,32 +702,23 @@ fn coordinator_watchdog<P: Send + Sync + 'static>(
                 log.push(line);
             }
         }
-        let mut fp: Vec<u64> = Vec::with_capacity(n_nodes);
+        fp.clear();
         fp.push(shared.activity.load(Ordering::Relaxed));
         for (a, _) in hb.0.iter().skip(1) {
             fp.push(a.load(Ordering::Relaxed));
-        }
-        if fp != fingerprint {
-            fingerprint = fp;
-            stable_since = Instant::now();
-            continue;
         }
         let live = shared.live.load(Ordering::SeqCst);
         let blocked = shared.blocked.load(Ordering::SeqCst);
         let timers = shared.timers_pending.load(Ordering::Acquire) as u64
             + hb.0.iter().skip(1).map(|(_, t)| t.load(Ordering::Relaxed)).sum::<u64>();
-        if live == 0 || blocked < live || timers > 0 {
-            stable_since = Instant::now();
-            continue;
-        }
-        if stable_since.elapsed() < tuning.rt.stall_timeout {
+        if !stall.stalled(Instant::now(), &fp, live, blocked, timers) {
             continue;
         }
         shared.error(format!(
             "stall: all {live} live thread(s) blocked in DSM operations with no activity on \
              any of the {n_nodes} node processes and no pending timer for {:?} — distributed \
              deadlock",
-            tuning.rt.stall_timeout
+            stall.timeout()
         ));
         let entries = collect_dumps(n_nodes, &inbox_tx, &ctrl_writers, &dump_rx);
         {

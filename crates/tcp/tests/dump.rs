@@ -9,7 +9,9 @@
 //! `dump_after` test knob), and process signals are global state.
 
 use munin_core::{MuninMsg, MuninProto};
-use munin_tcp::{tcp_support, TcpTuning, TcpWorldBuilder};
+use munin_rt::RtCtx;
+use munin_sim::WorldSpec;
+use munin_tcp::{run_world, tcp_support, TcpTuning};
 use munin_types::{BarrierDecl, BarrierId, LockDecl, LockId, MuninConfig, NodeId, SyncDecls};
 use std::time::Duration;
 
@@ -25,7 +27,7 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
     // inside a long compute and thread 1 is blocked waiting for it, so both
     // nodes have non-trivial lock state to dump.
     tuning.dump_after = Some(Duration::from_millis(400));
-    let mut b = TcpWorldBuilder::<MuninMsg>::new(n_nodes).tuning(tuning);
+    let mut b = WorldSpec::<RtCtx<MuninMsg>>::new(n_nodes);
     let lock = LockId(0);
     b.spawn(NodeId(0), move |ctx| {
         ctx.lock(lock);
@@ -39,12 +41,12 @@ fn sigusr1_dumps_every_nodes_stuck_state_without_poisoning() {
         ctx.unlock(lock);
         ctx.barrier(BarrierId(0));
     });
-    let sync = SyncDecls {
+    b.sync = SyncDecls {
         locks: vec![LockDecl { id: lock, home: NodeId(0) }],
         barriers: vec![BarrierDecl { id: BarrierId(0), home: NodeId(0), count: 2 }],
         conds: Vec::new(),
     };
-    let report = b.run_proto::<MuninProto>(MuninConfig::default(), sync);
+    let report = run_world::<MuninProto>(b, MuninConfig::default(), &tuning);
 
     // The dump is diagnostic: the run itself must stay clean.
     report.assert_clean();

@@ -1,12 +1,14 @@
-//! End-to-end smoke of the socket fabric using the builder directly (the
+//! End-to-end smoke of the socket fabric driven directly (the
 //! full six-app matrix runs in `tests/tests/cross_backend.rs` through the
 //! API harness). Skips with a notice when the sandbox has no loopback
 //! sockets or the `munin-node` binary is missing.
 
 use munin_core::{MuninMsg, MuninProto};
 use munin_ivy::{IvyMsg, IvyProto};
+use munin_rt::RtCtx;
+use munin_sim::WorldSpec;
 use munin_tardis::{TardisMsg, TardisProto};
-use munin_tcp::{tcp_support, TcpWorldBuilder};
+use munin_tcp::{run_world, tcp_support, TcpTuning};
 use munin_types::{
     BarrierDecl, BarrierId, IvyConfig, LockDecl, LockId, MuninConfig, NodeId, ObjectDecl,
     SharingType, SyncDecls, TardisConfig,
@@ -38,7 +40,7 @@ fn munin_counter_across_processes() {
         return;
     }
     for n_nodes in [2usize, 3] {
-        let mut b = TcpWorldBuilder::<MuninMsg>::new(n_nodes);
+        let mut b = WorldSpec::<RtCtx<MuninMsg>>::new(n_nodes);
         let ctr = b.declare(
             ObjectDecl::new(
                 munin_types::ObjectId(0),
@@ -63,7 +65,8 @@ fn munin_counter_across_processes() {
                 }
             });
         }
-        let report = b.run_proto::<MuninProto>(MuninConfig::default(), sync_decls(n_nodes as u32));
+        b.sync = sync_decls(n_nodes as u32);
+        let report = run_world::<MuninProto>(b, MuninConfig::default(), &TcpTuning::default());
         report.assert_clean();
         assert_eq!(total.load(Ordering::SeqCst), 10 * n_nodes as i64, "at {n_nodes} nodes");
         assert!(report.stats.messages > 0, "remote atomics must cross the wire");
@@ -77,7 +80,7 @@ fn ivy_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = TcpWorldBuilder::<IvyMsg>::new(n_nodes);
+    let mut b = WorldSpec::<RtCtx<IvyMsg>>::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -111,7 +114,8 @@ fn ivy_lock_counter_across_processes() {
             }
         });
     }
-    let report = b.run_proto::<IvyProto>(IvyConfig::default(), sync_decls(n_nodes as u32));
+    b.sync = sync_decls(n_nodes as u32);
+    let report = run_world::<IvyProto>(b, IvyConfig::default(), &TcpTuning::default());
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }
@@ -125,7 +129,7 @@ fn tardis_lock_counter_across_processes() {
         return;
     }
     let n_nodes = 2usize;
-    let mut b = TcpWorldBuilder::<TardisMsg>::new(n_nodes);
+    let mut b = WorldSpec::<RtCtx<TardisMsg>>::new(n_nodes);
     let ctr = b.declare(
         ObjectDecl::new(
             munin_types::ObjectId(0),
@@ -159,7 +163,8 @@ fn tardis_lock_counter_across_processes() {
             }
         });
     }
-    let report = b.run_proto::<TardisProto>(TardisConfig::default(), sync_decls(n_nodes as u32));
+    b.sync = sync_decls(n_nodes as u32);
+    let report = run_world::<TardisProto>(b, TardisConfig::default(), &TcpTuning::default());
     report.assert_clean();
     assert_eq!(total.load(Ordering::SeqCst), 5 * n_nodes as i64);
 }
