@@ -474,8 +474,7 @@ impl ProgramBuilder {
         match fabric {
             Fabric::Sim => {
                 let servers = servers(&spec);
-                let spec = spec.map_threads::<ThreadCtx>(|body| Box::new(move |ctx| body(ctx)));
-                World::new(spec, servers, transport, tracer).run()
+                World::new(spec.for_ctx::<ThreadCtx>(), servers, transport, tracer).run()
             }
             // The wall-clock fabrics run over OS channels or sockets:
             // simulated-wire features (loss injection, shared medium,
@@ -485,8 +484,7 @@ impl ProgramBuilder {
             Fabric::Rt => {
                 assert_rt_supports(&transport, &tracer, backend);
                 let servers = servers(&spec);
-                let spec =
-                    spec.map_threads::<RtCtx<Pr::Msg>>(|body| Box::new(move |ctx| body(ctx)));
+                let spec = spec.for_ctx::<RtCtx<Pr::Msg>>();
                 munin_rt::run_world(spec, servers, Pr::cost(&cfg).clone(), &self.rt_tuning)
             }
             // Same thread bodies, same `RtCtx` surface: the coordinator
@@ -496,9 +494,7 @@ impl ProgramBuilder {
                 assert_rt_supports(&transport, &tracer, backend);
                 let mut tuning = TcpTuning::from(self.rt_tuning);
                 tuning.test_fault = self.tcp_fault;
-                let spec =
-                    spec.map_threads::<RtCtx<Pr::Msg>>(|body| Box::new(move |ctx| body(ctx)));
-                munin_tcp::run_world::<Pr>(spec, cfg, &tuning)
+                munin_tcp::run_world::<Pr>(spec.for_ctx::<RtCtx<Pr::Msg>>(), cfg, &tuning)
             }
         }
     }

@@ -5,7 +5,9 @@
 //! 1. [`Par`] — the object-safe backend contract: identity, synchronization,
 //!    and *raw byte* access through the zero-copy pair
 //!    [`Par::read_raw_into`] / [`Par::write_raw`] (the allocating
-//!    [`Par::read`] / [`Par::write`] are provided shims over it).
+//!    [`Par::read`] / [`Par::write`] are provided shims over it). It lives
+//!    in `munin-sim` next to the `DsmOp` it maps onto and is re-exported
+//!    here.
 //! 2. [`ParTyped`] — the typed accessors every application uses, generic
 //!    over [`Element`] and driven by [`SharedArray`] / [`SharedScalar`]
 //!    handles. Bounds and element types are checked here, at the API layer,
@@ -15,216 +17,9 @@
 //!    (fetch once, edit locally, write back once), the natural shape for
 //!    stripe-local write-many access.
 
-use munin_sim::ThreadCtx;
+pub use munin_sim::Par;
 use munin_types::element::{bytes_of, bytes_of_mut};
-use munin_types::{
-    BarrierId, ByteRange, CondId, Element, LockId, ObjectId, OpToken, SharedArray, SharedScalar,
-    TokenState, TokenValue,
-};
-
-/// What a parallel program may do: shared-object access plus explicit
-/// synchronization. One implementation runs on the simulator (Munin or Ivy
-/// servers underneath), another on native threads.
-///
-/// Applications should not call the byte-level methods directly — use the
-/// typed layer ([`ParTyped`]) through [`SharedArray`] / [`SharedScalar`]
-/// handles instead.
-pub trait Par {
-    /// This thread's index (0-based, dense).
-    fn self_id(&self) -> usize;
-    /// Total threads in the program.
-    fn n_threads(&self) -> usize;
-    /// Read `range` of a shared object into `out` (`out.len()` must equal
-    /// `range.len`). The zero-copy foundation of the typed layer.
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]);
-    /// Write `data` at byte offset `start` of a shared object.
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]);
-    /// Atomic fetch-and-add on the little-endian i64 at `offset`.
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64;
-    fn lock(&mut self, lock: LockId);
-    fn unlock(&mut self, lock: LockId);
-    fn barrier(&mut self, barrier: BarrierId);
-    /// Monitor wait: release `lock`, sleep until signalled, re-acquire.
-    /// (Unsupported by the Ivy backend, true to the original system.)
-    fn cond_wait(&mut self, cond: CondId, lock: LockId);
-    /// Wake one (`broadcast=false`) or all waiters. Caller holds the lock.
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool);
-    /// Mark a program phase boundary (phase 0 = initialization).
-    fn phase(&mut self, phase: u32);
-    /// Model `us` microseconds of local computation.
-    fn compute(&mut self, us: u64);
-    /// Flush this thread's delayed updates (no-op on strict backends).
-    fn flush(&mut self);
-
-    /// Read a byte range into a fresh buffer. Allocating shim over
-    /// [`Par::read_raw_into`]; backends may override when they already own
-    /// a buffer (the simulator's rendezvous does).
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        let mut out = vec![0u8; range.len as usize];
-        self.read_raw_into(obj, range, &mut out);
-        out
-    }
-
-    /// Write bytes at an offset of a shared object (by-value shim over
-    /// [`Par::write_raw`]).
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        self.write_raw(obj, start, &data);
-    }
-
-    // ---- pipelined (asynchronous) ops -----------------------------------
-    //
-    // The defaults complete the op immediately and hand back a Ready token,
-    // which is the correct degenerate pipelining for backends whose ops
-    // already finish inline (the simulator's rendezvous, the native
-    // backend). The real-time kernels override these with a genuinely
-    // asynchronous issue path bounded by `RtTuning::max_inflight`.
-
-    /// Issue a write without waiting for completion. The op is complete by
-    /// the time the returned state is redeemed ([`Par::token_wait`]) or the
-    /// next sync point, whichever comes first.
-    fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
-        self.write_raw(obj, start, data);
-        TokenState::Ready(0)
-    }
-
-    /// Issue an atomic fetch-and-add without waiting; the old value rides
-    /// in the redeemed token.
-    fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
-        TokenState::Ready(self.fetch_add(obj, offset, delta))
-    }
-
-    /// Redeem a token state: the raw result of its async op. Backends that
-    /// never return [`TokenState::Pending`] keep this default.
-    fn token_wait(&mut self, state: TokenState) -> i64 {
-        match state {
-            TokenState::Ready(v) => v,
-            TokenState::Pending(seq) => {
-                panic!("this backend never issued pending token {seq} — token from another ctx?")
-            }
-        }
-    }
-
-    /// Complete every op this thread has in flight (including any
-    /// client-side write-combining buffer). Implicit at every sync point;
-    /// a no-op on backends whose ops complete inline.
-    fn drain_ops(&mut self) {}
-}
-
-impl Par for ThreadCtx {
-    fn self_id(&self) -> usize {
-        self.thread_id().index()
-    }
-    fn n_threads(&self) -> usize {
-        ThreadCtx::n_threads(self)
-    }
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        ThreadCtx::read_into(self, obj, range, out)
-    }
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        ThreadCtx::write_raw(self, obj, start, data)
-    }
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The rendezvous already hands us an owned buffer; return it rather
-        // than copying into a second one.
-        ThreadCtx::read(self, obj, range)
-    }
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        ThreadCtx::write(self, obj, start, data)
-    }
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        ThreadCtx::fetch_add(self, obj, offset, delta)
-    }
-    fn lock(&mut self, lock: LockId) {
-        ThreadCtx::lock(self, lock)
-    }
-    fn unlock(&mut self, lock: LockId) {
-        ThreadCtx::unlock(self, lock)
-    }
-    fn barrier(&mut self, barrier: BarrierId) {
-        ThreadCtx::barrier(self, barrier)
-    }
-    fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        ThreadCtx::cond_wait(self, cond, lock)
-    }
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
-        self.op(munin_sim::DsmOp::CondSignal { cond, broadcast }).expect_unit()
-    }
-    fn phase(&mut self, phase: u32) {
-        ThreadCtx::phase(self, phase)
-    }
-    fn compute(&mut self, us: u64) {
-        ThreadCtx::compute(self, us)
-    }
-    fn flush(&mut self) {
-        ThreadCtx::flush(self)
-    }
-}
-
-/// The real-time kernel's thread handle speaks the same op protocol as the
-/// simulator's, so the `Par` mapping is identical (generic over the
-/// protocol message type — one impl serves MuninRt and IvyRt).
-impl<P> Par for munin_rt::RtCtx<P> {
-    fn self_id(&self) -> usize {
-        self.thread_id().index()
-    }
-    fn n_threads(&self) -> usize {
-        munin_rt::RtCtx::n_threads(self)
-    }
-    fn read_raw_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        munin_rt::RtCtx::read_into(self, obj, range, out)
-    }
-    fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        munin_rt::RtCtx::write_raw(self, obj, start, data)
-    }
-    fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        // The op reply hands us an owned buffer; return it rather than
-        // copying into a second one.
-        munin_rt::RtCtx::read(self, obj, range)
-    }
-    fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        munin_rt::RtCtx::write(self, obj, start, data)
-    }
-    fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        munin_rt::RtCtx::fetch_add(self, obj, offset, delta)
-    }
-    fn lock(&mut self, lock: LockId) {
-        munin_rt::RtCtx::lock(self, lock)
-    }
-    fn unlock(&mut self, lock: LockId) {
-        munin_rt::RtCtx::unlock(self, lock)
-    }
-    fn barrier(&mut self, barrier: BarrierId) {
-        munin_rt::RtCtx::barrier(self, barrier)
-    }
-    fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        munin_rt::RtCtx::cond_wait(self, cond, lock)
-    }
-    fn cond_signal(&mut self, cond: CondId, broadcast: bool) {
-        self.op(munin_sim::DsmOp::CondSignal { cond, broadcast }).expect_unit()
-    }
-    fn phase(&mut self, phase: u32) {
-        munin_rt::RtCtx::phase(self, phase)
-    }
-    fn compute(&mut self, us: u64) {
-        munin_rt::RtCtx::compute(self, us)
-    }
-    fn flush(&mut self) {
-        munin_rt::RtCtx::flush(self)
-    }
-    fn write_raw_async(&mut self, obj: ObjectId, start: u32, data: &[u8]) -> TokenState {
-        let range = ByteRange::new(start, data.len() as u32);
-        self.op_async(munin_sim::DsmOp::Write { obj, range, data: data.to_vec() })
-    }
-    fn fetch_add_async(&mut self, obj: ObjectId, offset: u32, delta: i64) -> TokenState {
-        self.op_async(munin_sim::DsmOp::AtomicFetchAdd { obj, offset, delta })
-    }
-    fn token_wait(&mut self, state: TokenState) -> i64 {
-        munin_rt::RtCtx::token_wait(self, state)
-    }
-    fn drain_ops(&mut self) {
-        munin_rt::RtCtx::drain_ops(self)
-    }
-}
+use munin_types::{ByteRange, Element, OpToken, SharedArray, SharedScalar, TokenValue};
 
 /// Decode a little-endian byte buffer in place into `out`.
 fn decode_into<T: Element>(bytes: &[u8], out: &mut [T]) {
@@ -499,7 +294,7 @@ impl<P: Par + ?Sized, T: Element> Drop for Region<'_, P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use munin_types::SharingType;
+    use munin_types::{BarrierId, CondId, LockId, ObjectId, SharingType};
     use std::collections::HashMap;
 
     /// A toy in-memory Par for testing the access layers.

@@ -12,8 +12,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, KernelApi, OpOutcome, OpResult, RunReport, Server, ThreadCtx, TransportConfig, World,
-    WorldSpec,
+    DsmOp, KernelApi, OpOutcome, OpResult, Par, RunReport, Server, ThreadCtx, TransportConfig,
+    World, WorldSpec,
 };
 use munin_types::{NodeId, ThreadId};
 use std::sync::{Arc, Mutex};

@@ -1,7 +1,7 @@
 //! Edge-case and failure-path tests for the Munin runtime.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
+use munin_sim::{DsmOp, Par, RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     BarrierId, ByteRange, CondId, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -186,7 +186,7 @@ fn cond_broadcast_wakes_all_waiters() {
             ctx.compute(20_000);
             ctx.lock(LockId(0));
             ctx.write(flag, 0, 1i64.to_le_bytes().to_vec());
-            ctx.cond_broadcast(CondId(0));
+            ctx.cond_signal(CondId(0), true);
             ctx.unlock(LockId(0));
         });
     });
@@ -284,7 +284,7 @@ fn dynamic_alloc_creates_usable_objects() {
     let s2 = shared_id.clone();
     let report = run_world(2, MuninConfig::default(), sync, |b| {
         b.spawn(NodeId(0), move |ctx: &mut ThreadCtx| {
-            let id = ctx.alloc(decl("dyn", 64, SharingType::WriteMany));
+            let id = ctx.op(DsmOp::Alloc(decl("dyn", 64, SharingType::WriteMany))).into_object();
             ctx.write(id, 0, vec![9; 64]);
             s2.store(id.0 as i64, Ordering::SeqCst);
             ctx.barrier(BarrierId(0));

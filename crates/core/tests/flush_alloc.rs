@@ -8,7 +8,7 @@
 //! full-object-sized allocation.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
+use munin_sim::{Par, RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{ByteRange, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType};
 use std::sync::{Mutex, MutexGuard};
 

@@ -2,7 +2,7 @@
 //! simulation kernel, exercised by scripted application threads.
 
 use munin_core::{MuninServer, SyncDecls};
-use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
+use munin_sim::{Par, RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     BarrierId, ByteRange, LockId, MuninConfig, NodeId, ObjectDecl, ObjectId, SharingType,
 };
@@ -610,7 +610,7 @@ fn condition_variable_handoff() {
             ctx.compute(10_000);
             ctx.lock(LockId(0));
             ctx.write(obj, 0, 42i64.to_le_bytes().to_vec());
-            ctx.cond_signal(munin_types::CondId(0));
+            ctx.cond_signal(munin_types::CondId(0), false);
             ctx.unlock(LockId(0));
         });
     });

@@ -2,7 +2,7 @@
 //! granularity and false sharing, DSM-resident synchronization.
 
 use munin_ivy::IvyServer;
-use munin_sim::{RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
+use munin_sim::{Par, RunReport, ThreadCtx, TransportConfig, World, WorldSpec};
 use munin_types::{
     AllocPolicy, BarrierId, ByteRange, IvyConfig, LockId, NodeId, ObjectDecl, ObjectId,
     SharingType, SyncDecls,

@@ -33,7 +33,7 @@ pub trait Protocol: 'static {
     const NAME: &'static str;
 
     /// Backend names per fabric, in `[sim, rt, tcp]` order — e.g.
-    /// `["tardis", "tardis-rt", "tardis-tcp"]`. Kept on the trait so the
+    /// `["Tardis", "TardisRt", "TardisTcp"]`. Kept on the trait so the
     /// harness's name/parse tables cannot drift from the protocol crate.
     const BACKEND_NAMES: [&'static str; 3];
 

@@ -7,7 +7,8 @@
 //! application operations (`DsmOp`/`OpResult`), the registry's
 //! `ObjectDecl`s, run configuration, and traffic statistics. Protocol
 //! payloads (`MuninMsg`, `IvyMsg`, `TardisMsg`) implement [`Wire`] in their
-//! own crates via the exported [`wire_struct!`]/[`wire_enum!`] macros.
+//! own crates via the exported [`wire_struct!`](crate::wire_struct) and
+//! [`wire_enum!`](crate::wire_enum) macros.
 //!
 //! ## Format
 //!
@@ -228,7 +229,10 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn take(inp: &mut &[u8]) -> WireResult<Self> {
         let n = take_count(inp)?;
-        let mut v = Vec::with_capacity(n);
+        // `n` is only bounded by the remaining input, and an element can be
+        // far larger in memory than on the wire: reserve no more bytes than
+        // the input has left, and let an honest long vector grow.
+        let mut v = Vec::with_capacity(n.min(inp.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..n {
             v.push(T::take(inp)?);
         }

@@ -8,23 +8,25 @@
 //! so a wedged protocol tears the thread down (with a panic the harness
 //! reports) instead of hanging the process.
 //!
-//! PR 7 made the issue path pipelined: ops can be issued asynchronously
-//! (up to [`RtTuning::max_inflight`] per thread) and completed later by a
-//! token wait or, implicitly, by the next blocking op — every blocking op
-//! waits for its *own* completion, which on the per-thread FIFO resume
-//! channel drains everything issued before it. Adjacent writes to the same
-//! object are combined client-side ([`RtTuning::write_combine`]) and a
-//! bounded adaptive spin ([`SpinWait`]) runs before each park so short
-//! waits skip the futex wake + context-switch pair.
+//! The issue path is pipelined: ops can be issued asynchronously (up to
+//! [`RtTuning::max_inflight`] per thread) and completed later by a token
+//! wait or, implicitly, by the next blocking op — every blocking op waits
+//! for its *own* completion, which on the per-thread FIFO resume channel
+//! drains everything issued before it. Adjacent writes to the same object
+//! are combined client-side ([`RtTuning::write_combine`]) and a bounded
+//! adaptive spin ([`SpinWait`]) runs before each park so short waits skip
+//! the futex wake + context-switch pair.
+//!
+//! Applications never see this type's op methods directly: [`RtCtx`] is
+//! an [`OpPort`], and `munin_sim`'s blanket impl maps every `Par` call
+//! onto [`RtCtx::op`] or [`RtCtx::op_async`].
 
 use crate::fabric::{NodeEvent, Shared};
 use crate::world::{ComputeMode, RtTuning, SpinWait};
 use munin_obs::{wall_us, AccessKind, OpClass};
 use munin_sim::report::WaitTable;
-use munin_sim::{DsmOp, OpResult};
-use munin_types::{
-    BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId, TokenState,
-};
+use munin_sim::{DsmOp, OpPort, OpResult};
+use munin_types::{ByteRange, NodeId, ObjectId, ThreadId, TokenState};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -427,7 +429,6 @@ impl<P> RtCtx<P> {
         let spin_us = match self.tuning.spin_wait {
             _ if !self.can_spin => 0,
             SpinWait::Off => 0,
-            SpinWait::Fixed { us } => us,
             SpinWait::Adaptive { cap_us } => (self.ewma_us * 2).min(cap_us),
         };
         if spin_us > 0 {
@@ -516,98 +517,6 @@ impl<P> RtCtx<P> {
         self.issue(DsmOp::Write { obj: b.obj, range, data: b.data }, "write", false, true);
     }
 
-    // ---- convenience wrappers (same surface as the simulator's
-    // ThreadCtx, so the API harness treats both uniformly) ----------------
-
-    /// Allocate a shared object; `id`/`home` are filled in by the runtime.
-    pub fn alloc(&mut self, decl: ObjectDecl) -> ObjectId {
-        self.op(DsmOp::Alloc(decl)).into_object()
-    }
-
-    /// Read a byte range of an object.
-    pub fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        self.op(DsmOp::Read { obj, range }).into_bytes()
-    }
-
-    /// Read a byte range into a caller-owned buffer (`out.len()` must equal
-    /// `range.len`).
-    pub fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        let bytes = self.op(DsmOp::Read { obj, range }).into_bytes();
-        assert_eq!(
-            out.len(),
-            bytes.len(),
-            "read_into buffer is {} bytes for a {} byte range",
-            out.len(),
-            bytes.len()
-        );
-        out.copy_from_slice(&bytes);
-    }
-
-    /// Write bytes at `start` within an object. With write combining on
-    /// (the default) consecutive contiguous writes coalesce client-side and
-    /// complete asynchronously by the next non-write op; program order per
-    /// thread is preserved either way.
-    pub fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        let range = ByteRange::new(start, data.len() as u32);
-        let state = self.op_async(DsmOp::Write { obj, range, data });
-        // Uncombined async writes complete at the next blocking op; nothing
-        // to redeem (unit result), and errors fail closed in park_result.
-        let _ = state;
-    }
-
-    /// Write borrowed bytes at `start` within an object.
-    pub fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        self.write(obj, start, data.to_vec());
-    }
-
-    /// Atomic fetch-and-add on the i64 at `offset`; returns the old value.
-    pub fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        self.op(DsmOp::AtomicFetchAdd { obj, offset, delta }).into_value()
-    }
-
-    pub fn lock(&mut self, lock: LockId) {
-        self.op(DsmOp::Lock(lock)).expect_unit();
-    }
-
-    pub fn unlock(&mut self, lock: LockId) {
-        self.op(DsmOp::Unlock(lock)).expect_unit();
-    }
-
-    pub fn barrier(&mut self, barrier: BarrierId) {
-        self.op(DsmOp::BarrierWait(barrier)).expect_unit();
-    }
-
-    /// Monitor wait: releases `lock`, waits for a signal, re-acquires.
-    pub fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        self.op(DsmOp::CondWait { cond, lock }).expect_unit();
-    }
-
-    pub fn cond_signal(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: false }).expect_unit();
-    }
-
-    pub fn cond_broadcast(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: true }).expect_unit();
-    }
-
-    /// Flush this thread's delayed update queue.
-    pub fn flush(&mut self) {
-        self.op(DsmOp::Flush).expect_unit();
-    }
-
-    /// Mark the beginning of program phase `n`.
-    pub fn phase(&mut self, n: u32) {
-        self.op(DsmOp::Phase(n)).expect_unit();
-    }
-
-    /// Perform `us` microseconds of modelled computation on *this* thread
-    /// (see [`ComputeMode`]); never involves the server. Goes through
-    /// [`RtCtx::op`] so the op counter and wait table see it, like the
-    /// simulator's compute handling.
-    pub fn compute(&mut self, us: u64) {
-        self.op(DsmOp::Compute(us)).expect_unit();
-    }
-
     fn compute_inner(&mut self, us: u64) {
         if us == 0 {
             return;
@@ -625,9 +534,32 @@ impl<P> RtCtx<P> {
     }
 }
 
+impl<P> OpPort for RtCtx<P> {
+    fn self_id(&self) -> usize {
+        self.thread.index()
+    }
+    fn n_threads(&self) -> usize {
+        self.n_threads
+    }
+    fn op(&mut self, op: DsmOp) -> OpResult {
+        RtCtx::op(self, op)
+    }
+    fn op_async(&mut self, op: DsmOp) -> TokenState {
+        RtCtx::op_async(self, op)
+    }
+    fn token_wait(&mut self, state: TokenState) -> i64 {
+        RtCtx::token_wait(self, state)
+    }
+    fn drain_ops(&mut self) {
+        RtCtx::drain_ops(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use munin_sim::Par;
+    use munin_types::BarrierId;
     use std::sync::mpsc::channel;
 
     fn lone_ctx() -> (RtCtx<()>, Receiver<NodeEvent<()>>, Sender<OpResult>) {

@@ -74,10 +74,8 @@ pub struct RtTuning {
 /// How a blocked application thread waits on its resume channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpinWait {
-    /// Park on the channel immediately (the pre-PR-7 behaviour).
+    /// Park on the channel immediately.
     Off,
-    /// Spin for a fixed budget of microseconds before parking.
-    Fixed { us: u64 },
     /// Spin for twice the EWMA-tracked completion time of this thread's
     /// recent ops, bounded by `cap_us`. Tracks the fast path (in-process
     /// round trips are ~14 µs) without burning a core on slow waits such

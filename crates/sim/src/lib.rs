@@ -24,12 +24,14 @@
 //!   message loss, acknowledgements and go-back-N retransmission (the
 //!   V kernel's reliable layer), multicast, and full traffic accounting.
 //!
-//! Application code is written in ordinary blocking style against
-//! [`ThreadCtx`]; each DSM operation is a rendezvous with the event loop.
+//! Application code is written in ordinary blocking style against [`Par`],
+//! the one op surface every backend shares ([`ThreadCtx`] gets it through
+//! [`OpPort`]); each DSM operation is a rendezvous with the event loop.
 
 pub mod event;
 pub mod kernel;
 pub mod op;
+pub mod par;
 pub mod report;
 pub mod spec;
 pub mod thread;
@@ -40,6 +42,7 @@ pub mod world;
 pub use kernel::KernelApi;
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, OpOutcome, OpResult};
+pub use par::{OpPort, Par};
 pub use report::RunReport;
 pub use spec::{ThreadBody, WorldSpec};
 pub use thread::ThreadCtx;

@@ -3,9 +3,10 @@
 //! objects, application threads and an optional coverage recorder.
 //!
 //! Every fabric (this crate's simulator, `munin-rt`, `munin-tcp`) runs the
-//! same spec; only the thread-context type `C` differs, and
-//! [`WorldSpec::map_threads`] re-wraps the bodies for it.
+//! same spec; only the thread-context type `C` differs, and a `dyn Par`
+//! program takes a fabric's context through [`WorldSpec::for_ctx`].
 
+use crate::par::Par;
 use munin_obs::CoverageMap;
 use munin_types::{NodeId, ObjectDecl, ObjectId, SyncDecls, ThreadId};
 use std::sync::Arc;
@@ -81,25 +82,27 @@ impl<C: ?Sized> WorldSpec<C> {
         id
     }
 
-    /// Re-wrap every thread body for another context type (e.g. a
-    /// `dyn Par` program body for one fabric's concrete context).
-    pub fn map_threads<D: ?Sized>(
-        self,
-        mut wrap: impl FnMut(ThreadBody<C>) -> ThreadBody<D>,
-    ) -> WorldSpec<D> {
-        WorldSpec {
-            n_nodes: self.n_nodes,
-            decls: self.decls,
-            sync: self.sync,
-            threads: self.threads.into_iter().map(|(node, body)| (node, wrap(body))).collect(),
-            coverage: self.coverage,
-        }
-    }
-
     /// Hand the declarations (sorted by id) and the threads (in spawn
     /// order) to the fabric that runs them.
     pub fn into_parts(self) -> (Vec<ObjectDecl>, Vec<(NodeId, ThreadBody<C>)>) {
         (self.decls, self.threads)
+    }
+}
+
+impl WorldSpec<dyn Par> {
+    /// Run the `dyn Par` program bodies on a fabric whose thread context is
+    /// `C`.
+    pub fn for_ctx<C: Par + 'static>(self) -> WorldSpec<C> {
+        let rewrap = |(node, body): (NodeId, ThreadBody<dyn Par>)| {
+            (node, Box::new(move |ctx: &mut C| body(ctx)) as ThreadBody<C>)
+        };
+        WorldSpec {
+            n_nodes: self.n_nodes,
+            decls: self.decls,
+            sync: self.sync,
+            threads: self.threads.into_iter().map(rewrap).collect(),
+            coverage: self.coverage,
+        }
     }
 }
 

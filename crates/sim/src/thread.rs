@@ -7,8 +7,9 @@
 //! which is what makes runs deterministic.
 
 use crate::op::{DsmOp, OpResult};
+use crate::par::OpPort;
 use crossbeam_channel::{Receiver, Sender};
-use munin_types::{BarrierId, ByteRange, CondId, LockId, NodeId, ObjectDecl, ObjectId, ThreadId};
+use munin_types::{NodeId, ThreadId};
 
 /// What a thread tells the world.
 #[derive(Debug)]
@@ -61,107 +62,31 @@ impl ThreadCtx {
             .recv()
             .expect("simulation kernel tore down (deadlock?) while thread was blocked")
     }
+}
 
-    // ---- convenience wrappers -------------------------------------------
-
-    /// Allocate a shared object; the declaration's `id` and `home` fields are
-    /// filled in by the runtime (home = this thread's node).
-    pub fn alloc(&mut self, decl: ObjectDecl) -> ObjectId {
-        self.op(DsmOp::Alloc(decl)).into_object()
+impl OpPort for ThreadCtx {
+    fn self_id(&self) -> usize {
+        self.thread.index()
     }
-
-    /// Read a byte range of an object.
-    pub fn read(&mut self, obj: ObjectId, range: ByteRange) -> Vec<u8> {
-        self.op(DsmOp::Read { obj, range }).into_bytes()
+    fn n_threads(&self) -> usize {
+        self.n_threads
     }
-
-    /// Read a byte range of an object into a caller-owned buffer
-    /// (`out.len()` must equal `range.len`). The rendezvous still transfers
-    /// one owned buffer from the server side, but the caller-facing path
-    /// allocates nothing, which is what the typed API layers on.
-    pub fn read_into(&mut self, obj: ObjectId, range: ByteRange, out: &mut [u8]) {
-        let bytes = self.op(DsmOp::Read { obj, range }).into_bytes();
-        assert_eq!(
-            out.len(),
-            bytes.len(),
-            "read_into buffer is {} bytes for a {} byte range",
-            out.len(),
-            bytes.len()
-        );
-        out.copy_from_slice(&bytes);
-    }
-
-    /// Write bytes at `start` within an object.
-    pub fn write(&mut self, obj: ObjectId, start: u32, data: Vec<u8>) {
-        let range = ByteRange::new(start, data.len() as u32);
-        self.op(DsmOp::Write { obj, range, data }).expect_unit();
-    }
-
-    /// Write borrowed bytes at `start` within an object. One copy into the
-    /// request message is inherent to the rendezvous; the caller keeps its
-    /// buffer.
-    pub fn write_raw(&mut self, obj: ObjectId, start: u32, data: &[u8]) {
-        self.write(obj, start, data.to_vec());
-    }
-
-    /// Atomic fetch-and-add on the i64 at `offset`; returns the old value.
-    pub fn fetch_add(&mut self, obj: ObjectId, offset: u32, delta: i64) -> i64 {
-        self.op(DsmOp::AtomicFetchAdd { obj, offset, delta }).into_value()
-    }
-
-    pub fn lock(&mut self, lock: LockId) {
-        self.op(DsmOp::Lock(lock)).expect_unit();
-    }
-
-    pub fn unlock(&mut self, lock: LockId) {
-        self.op(DsmOp::Unlock(lock)).expect_unit();
-    }
-
-    pub fn barrier(&mut self, barrier: BarrierId) {
-        self.op(DsmOp::BarrierWait(barrier)).expect_unit();
-    }
-
-    /// Monitor wait: releases `lock`, waits for a signal, re-acquires.
-    pub fn cond_wait(&mut self, cond: CondId, lock: LockId) {
-        self.op(DsmOp::CondWait { cond, lock }).expect_unit();
-    }
-
-    pub fn cond_signal(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: false }).expect_unit();
-    }
-
-    pub fn cond_broadcast(&mut self, cond: CondId) {
-        self.op(DsmOp::CondSignal { cond, broadcast: true }).expect_unit();
-    }
-
-    /// Flush this thread's delayed update queue.
-    pub fn flush(&mut self) {
-        self.op(DsmOp::Flush).expect_unit();
-    }
-
-    /// Mark the beginning of program phase `n` (phase 0 = initialization; the
-    /// first call with `n >= 1` publishes write-once objects).
-    pub fn phase(&mut self, n: u32) {
-        self.op(DsmOp::Phase(n)).expect_unit();
-    }
-
-    /// Spend `us` microseconds of virtual compute time.
-    pub fn compute(&mut self, us: u64) {
-        self.op(DsmOp::Compute(us)).expect_unit();
+    fn op(&mut self, op: DsmOp) -> OpResult {
+        ThreadCtx::op(self, op)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // ThreadCtx is exercised end-to-end in world.rs tests; here we only pin
-    // down the request encoding of the convenience wrappers via a fake
-    // kernel loop.
+    // ThreadCtx is exercised end-to-end in world.rs tests, and the Par
+    // mapping in par.rs; here we only pin down its metadata accessors.
     use super::*;
     use crossbeam_channel::unbounded;
 
-    fn fake_ctx() -> (ThreadCtx, Receiver<(ThreadId, ThreadReq)>, Sender<OpResult>) {
-        let (req_tx, req_rx) = unbounded();
-        let (resume_tx, resume_rx) = unbounded();
+    #[test]
+    fn metadata_accessors() {
+        let (req_tx, _) = unbounded();
+        let (_, resume_rx) = unbounded();
         let ctx = ThreadCtx {
             thread: ThreadId(3),
             node: NodeId(1),
@@ -170,29 +95,6 @@ mod tests {
             req_tx,
             resume_rx,
         };
-        (ctx, req_rx, resume_tx)
-    }
-
-    #[test]
-    fn write_encodes_range_from_data_len() {
-        let (mut ctx, req_rx, resume_tx) = fake_ctx();
-        resume_tx.send(OpResult::Unit).unwrap();
-        ctx.write(ObjectId(5), 8, vec![1, 2, 3]);
-        let (tid, req) = req_rx.try_recv().unwrap();
-        assert_eq!(tid, ThreadId(3));
-        match req {
-            ThreadReq::Op(DsmOp::Write { obj, range, data }) => {
-                assert_eq!(obj, ObjectId(5));
-                assert_eq!(range, ByteRange::new(8, 3));
-                assert_eq!(data, vec![1, 2, 3]);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metadata_accessors() {
-        let (ctx, _rx, _tx) = fake_ctx();
         assert_eq!(ctx.thread_id(), ThreadId(3));
         assert_eq!(ctx.node(), NodeId(1));
         assert_eq!(ctx.n_nodes(), 4);

@@ -176,7 +176,7 @@ impl<P: PayloadInfo + Clone> Kernel<P> {
 
     /// Change an object's sharing annotation at runtime — the paper's §4
     /// "the system might be able to detect that an object is being
-    /// continuously updated by one thread and read by another [and] define
+    /// continuously updated by one thread and read by another \[and\] define
     /// the object as a producer-consumer shared object and treat it
     /// accordingly". The caller (the object's home server) is responsible
     /// for resetting protocol state (invalidating outstanding copies).
@@ -579,6 +579,7 @@ impl<S: Server> World<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Par;
     use munin_net::MsgClass;
     use munin_types::{ByteRange, SharingType};
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,8 +4,8 @@
 
 use munin_net::{MsgClass, PayloadInfo};
 use munin_sim::{
-    DsmOp, KernelApi, OpOutcome, OpResult, Server, ThreadCtx, TraceEvent, Tracer, TransportConfig,
-    World, WorldSpec,
+    DsmOp, KernelApi, OpOutcome, OpResult, Par, Server, ThreadCtx, TraceEvent, Tracer,
+    TransportConfig, World, WorldSpec,
 };
 use munin_types::{ByteRange, CostModel, NodeId, ObjectId, ThreadId, VirtualTime};
 use std::sync::atomic::{AtomicU64, Ordering};

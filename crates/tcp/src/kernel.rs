@@ -4,9 +4,9 @@
 //! same single-writer discipline as `munin_rt::RtKernel`). Remote sends
 //! serialize protocol payloads into length-prefixed frames on the
 //! per-node-pair TCP stream; with coalescing on, everything one server step
-//! sends to a destination leaves as a single [`DataFrame::Batch`] frame —
-//! the batching seam built in PR 4 is exactly the message boundary a socket
-//! wants, so `flush_outbound` is where syscalls are coalesced
+//! sends to a destination leaves as a single
+//! [`DataFrame::Batch`](crate::frames::DataFrame::Batch) frame — the
+//! kernel's batching seam is exactly the message boundary a socket wants, so `flush_outbound` is where syscalls are coalesced
 //! (Nagle-without-the-latency; the sockets themselves run `TCP_NODELAY`).
 
 use crate::frames::{encode_data_batch, encode_data_msg, send_shared, CtrlFrame, SharedWriter};

@@ -10,7 +10,7 @@
 
 use munin_core::{MuninMsg, MuninProto};
 use munin_rt::RtCtx;
-use munin_sim::WorldSpec;
+use munin_sim::{Par, WorldSpec};
 use munin_tcp::{run_world, tcp_support, TcpTuning};
 use munin_types::{BarrierDecl, BarrierId, LockDecl, LockId, MuninConfig, NodeId, SyncDecls};
 use std::time::Duration;

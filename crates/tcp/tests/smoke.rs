@@ -6,7 +6,7 @@
 use munin_core::{MuninMsg, MuninProto};
 use munin_ivy::{IvyMsg, IvyProto};
 use munin_rt::RtCtx;
-use munin_sim::WorldSpec;
+use munin_sim::{Par, WorldSpec};
 use munin_tardis::{TardisMsg, TardisProto};
 use munin_tcp::{run_world, tcp_support, TcpTuning};
 use munin_types::{

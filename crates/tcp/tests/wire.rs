@@ -425,7 +425,15 @@ fn max_size_diffs_roundtrip() {
 #[test]
 fn control_frames_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(7);
-    let decls: Vec<ObjectDecl> = (0..6).map(|_| arb_decl(&mut rng)).collect();
+    for f in sample_ctrl_frames(&mut rng) {
+        roundtrip(&f);
+    }
+}
+
+/// One of every control frame, with a `Start` per protocol.
+fn sample_ctrl_frames(rng: &mut SmallRng) -> Vec<CtrlFrame> {
+    let decls: Vec<ObjectDecl> = (0..6).map(|_| arb_decl(rng)).collect();
+    let mut frames = Vec::new();
     let protos: [(u8, Vec<u8>); 3] = [
         (0, MuninConfig::default().encode()),
         (1, IvyConfig::default().encode()),
@@ -452,9 +460,9 @@ fn control_frames_roundtrip() {
             coverage: true,
             n_threads: 6,
         };
-        roundtrip(&CtrlFrame::Start(Box::new(start)));
+        frames.push(CtrlFrame::Start(Box::new(start)));
     }
-    let frames = vec![
+    frames.extend([
         CtrlFrame::Hello { node: NodeId(3), data_port: 40123 },
         CtrlFrame::Ready,
         CtrlFrame::Op {
@@ -478,7 +486,7 @@ fn control_frames_roundtrip() {
             sharing: SharingType::ProducerConsumer,
         }),
         CtrlFrame::RegReply(RegReply::Decl { id: ObjectId(17), version: 3 }),
-        CtrlFrame::RegUpdate { decl: arb_decl(&mut rng), version: 4, seq: 6 },
+        CtrlFrame::RegUpdate { decl: arb_decl(rng), version: 4, seq: 6 },
         CtrlFrame::RegUpdateAck { seq: 6 },
         CtrlFrame::Heartbeat { activity: 12345, timers_pending: 2 },
         CtrlFrame::DumpReq,
@@ -506,10 +514,8 @@ fn control_frames_roundtrip() {
             ],
             fwd_us: 1_754_000_000_001,
         },
-    ];
-    for f in frames {
-        roundtrip(&f);
-    }
+    ]);
+    frames
 }
 
 fn sample_stats() -> munin_net::NetStats {
@@ -596,5 +602,66 @@ fn single_msg_frame_encode_matches_dataframe() {
     match DataFrame::<MuninMsg>::decode(body).expect("frame decodes") {
         DataFrame::Msg(m) => assert_eq!(m, msg),
         other => panic!("expected Msg frame, got {other:?}"),
+    }
+}
+
+/// Feed `bytes` to every decoder; each must return `Ok` or `Err`. A panic
+/// is reported with the decoder's name and the input that caused it.
+fn every_decoder_fails_closed(bytes: &[u8]) {
+    fn check<T: Wire>(name: &str, bytes: &[u8]) {
+        let decoded = std::panic::catch_unwind(|| T::decode(bytes).is_ok());
+        assert!(decoded.is_ok(), "{name} decoder panicked on {bytes:02x?}");
+    }
+    check::<MuninMsg>("MuninMsg", bytes);
+    check::<IvyMsg>("IvyMsg", bytes);
+    check::<TardisMsg>("TardisMsg", bytes);
+    check::<DsmOp>("DsmOp", bytes);
+    check::<OpResult>("OpResult", bytes);
+    check::<CtrlFrame>("CtrlFrame", bytes);
+    check::<DataFrame<MuninMsg>>("DataFrame<MuninMsg>", bytes);
+}
+
+/// Hostile bytes fail closed: seeded random buffers (tag bytes biased into
+/// the valid range so decoding gets past the first byte) and bit-flipped
+/// valid encodings of every decoded type either decode or return a
+/// `WireError` — no decoder panics, whatever the input.
+#[test]
+fn hostile_bytes_fail_closed() {
+    let mut rng = SmallRng::seed_from_u64(17);
+    for _ in 0..2_000 {
+        let mut bytes = arb_bytes(&mut rng, 96);
+        if let Some(tag) = bytes.first_mut() {
+            *tag %= 40;
+        }
+        every_decoder_fails_closed(&bytes);
+    }
+
+    let mut valid: Vec<Vec<u8>> = Vec::new();
+    for variant in 0..MUNIN_VARIANTS {
+        let msg = arb_munin(&mut rng, variant);
+        valid.push(msg.encode());
+        valid.push(DataFrame::Msg(msg).encode());
+    }
+    let batch: Vec<MuninMsg> = (0..4).map(|v| arb_munin(&mut rng, v * 7)).collect();
+    valid.push(DataFrame::Batch(batch).encode());
+    valid.push(DataFrame::<MuninMsg>::Hello { src: NodeId(2) }.encode());
+    valid.extend((0..IVY_VARIANTS).map(|v| arb_ivy(&mut rng, v).encode()));
+    valid.extend((0..TARDIS_VARIANTS).map(|v| arb_tardis(&mut rng, v).encode()));
+    valid.extend((0..DSMOP_VARIANTS).map(|v| arb_dsmop(&mut rng, v).encode()));
+    valid.push(OpResult::Bytes(arb_bytes(&mut rng, 64)).encode());
+    valid.push(OpResult::Value(-5).encode());
+    valid.push(OpResult::Object(arb_obj(&mut rng)).encode());
+    valid.push(OpResult::Err(DsmError::Internal("x".into())).encode());
+    valid.extend(sample_ctrl_frames(&mut rng).iter().map(Wire::encode));
+
+    for bytes in &valid {
+        for _ in 0..24 {
+            let mut flipped = bytes.clone();
+            for _ in 0..rng.gen_range(1u64..4) {
+                let bit = rng.gen_range(0u64..flipped.len() as u64 * 8) as usize;
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            every_decoder_fails_closed(&flipped);
+        }
     }
 }
