@@ -565,16 +565,15 @@ mod tests {
     fn lone_ctx() -> (RtCtx<()>, Receiver<NodeEvent<()>>, Sender<OpResult>) {
         let (op_tx, op_rx) = channel();
         let (res_tx, res_rx) = channel();
-        let shared = Arc::new(Shared::new(Vec::new(), 1, munin_types::Telemetry::default()));
+        let shared = Arc::new(Shared::new(1, munin_types::Telemetry::default()));
         let ctx =
             RtCtx::new(ThreadId(0), NodeId(0), 1, 1, op_tx, res_rx, shared, RtTuning::default());
         (ctx, op_rx, res_tx)
     }
 
-    /// Regression (PR 7 satellite): a thread blocked redeeming a token must
-    /// see watchdog poisoning just like a thread blocked in a sync op —
-    /// before the unified wait path, only `send_and_wait` poison-polled and
-    /// a token waiter could have hung until the channel disconnected.
+    /// A thread blocked redeeming a token must see watchdog poisoning just
+    /// like a thread blocked in a sync op; a token waiter that did not
+    /// poison-poll would hang until the channel disconnected.
     #[test]
     fn blocked_token_waiter_sees_poison() {
         let (mut ctx, _op_rx, _res_tx) = lone_ctx();

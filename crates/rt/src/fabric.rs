@@ -3,10 +3,9 @@
 
 use munin_obs::ObsCollector;
 use munin_sim::DsmOp;
-use munin_types::{NodeId, ObjectDecl, ObjectId, Telemetry, ThreadId};
-use std::collections::HashMap;
+use munin_types::{NodeId, Telemetry, ThreadId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A protocol payload travelling through the channel fabric. Unicast sends
@@ -53,10 +52,10 @@ pub enum NodeEvent<P> {
     Msg(NodeId, MsgBody<P>),
     /// Every protocol message one peer server sent here during one of its
     /// server steps, coalesced into a single channel operation (items are
-    /// `(src, payload)` in send order, so per-(src,dst) FIFO is exactly the
-    /// order of this vector). A K-item flush fan-out costs the fabric one
-    /// send and one receiver wake-up instead of K.
-    Batch(Vec<(NodeId, MsgBody<P>)>),
+    /// in send order, so per-(src,dst) FIFO is exactly the order of this
+    /// vector). A K-item flush fan-out costs the fabric one send and one
+    /// receiver wake-up instead of K.
+    Batch(NodeId, Vec<MsgBody<P>>),
     /// A timer armed via `KernelApi::set_timer` came due.
     Timer(u64),
     /// The watchdog wants `debug_stuck_state` captured into the error log.
@@ -74,15 +73,6 @@ pub enum NodeEvent<P> {
 pub struct Shared {
     /// Wall-clock origin of the run.
     pub start: Instant,
-    /// Global object-declaration registry — the moral equivalent of the
-    /// simulator kernel's registry map, shared because real nodes each run
-    /// their own kernel instance. Reads vastly outnumber writes (servers
-    /// cache declarations keyed on `registry_version`).
-    pub registry: RwLock<HashMap<ObjectId, ObjectDecl>>,
-    /// Bumped on every runtime retype; mirrors the simulator's counter.
-    pub registry_version: AtomicU64,
-    /// Allocator for dynamically registered object ids.
-    pub next_object: AtomicU64,
     /// Run errors (panics, stalls, server-reported invariant violations).
     pub errors: Mutex<Vec<String>>,
     /// Bumped every time any server thread processes an inbox event. The
@@ -124,13 +114,9 @@ pub struct Shared {
 }
 
 impl Shared {
-    pub fn new(decls: Vec<ObjectDecl>, n_threads: usize, telemetry: Telemetry) -> Self {
-        let next_object = decls.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
+    pub fn new(n_threads: usize, telemetry: Telemetry) -> Self {
         Shared {
             start: Instant::now(),
-            registry: RwLock::new(decls.into_iter().map(|d| (d.id, d)).collect()),
-            registry_version: AtomicU64::new(0),
-            next_object: AtomicU64::new(next_object),
             errors: Mutex::new(Vec::new()),
             activity: AtomicU64::new(0),
             blocked: AtomicUsize::new(0),

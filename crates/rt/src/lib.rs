@@ -1,8 +1,7 @@
 //! # munin-rt
 //!
-//! The **real-time parallel kernel** for the Munin and Ivy protocol
-//! servers — the counterpart of the deterministic virtual-time simulator in
-//! `munin-sim`.
+//! The **real-time parallel kernel** for the protocol servers — the
+//! counterpart of the deterministic virtual-time simulator in `munin-sim`.
 //!
 //! ## Why a second kernel
 //!
@@ -23,9 +22,9 @@
 //! * **truly parallel application threads** — app threads run free and
 //!   block on fault completion (a channel recv), not on a rendezvous with
 //!   a global scheduler;
-//! * **per-pair FIFO transport** — each kernel owns its own sender clone
-//!   per destination, so the per-(src,dst) FIFO ordering the protocols
-//!   assume carries over from the simulated transport;
+//! * **per-pair FIFO transport** — each node's link owns its own sender
+//!   clone per destination, so the per-(src,dst) FIFO ordering the
+//!   protocols assume carries over from the simulated transport;
 //! * **a batched message pipeline** — server loops drain their inbox in
 //!   bounded batches (one blocking `recv` plus `try_recv`s up to
 //!   [`RtTuning::batch_max`], one watchdog activity bump per batch), and
@@ -48,10 +47,14 @@
 //!   [`munin_sim::Server::debug_stuck_state`] is captured into the report,
 //!   and blocked threads are torn down so the process never hangs.
 //!
-//! The protocol crates (`munin-core`, `munin-ivy`) are **unchanged**: they
-//! talk to whichever kernel hosts them through the [`munin_sim::KernelApi`]
-//! seam, and [`RtKernel`] implements it with channels, atomics and a shared
-//! declaration registry instead of an event queue.
+//! The protocol crates are **unchanged**: they talk to whichever kernel
+//! hosts them through the [`munin_sim::KernelApi`] seam. [`NodeKernel`] is
+//! the one wall-clock implementation of it, for this fabric and for
+//! `munin-tcp`'s: it keeps traffic accounting, the per-destination outbox,
+//! completions, timers and registry reads, and leaves moving messages,
+//! resuming threads and registry writes to a fabric [`Link`]. This crate's
+//! link is a set of channels plus a process-wide [`SharedRegistry`]
+//! written in place; `munin-tcp`'s writes sockets.
 //!
 //! ## Time, cost, and `compute`
 //!
@@ -78,6 +81,6 @@ mod world;
 
 pub use ctx::RtCtx;
 pub use fabric::{MsgBody, NodeEvent, Shared};
-pub use kernel::RtKernel;
-pub use serve::{drive_app_thread, request_dump, server_loop, NodeKernel};
+pub use kernel::{Link, NodeKernel, SharedRegistry};
+pub use serve::{drive_app_thread, request_dump, server_loop};
 pub use world::{run_world, ComputeMode, RtTuning, SpinWait};

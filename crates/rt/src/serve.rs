@@ -1,44 +1,17 @@
 //! The node-server event loop, shared by every wall-clock fabric.
 //!
-//! PR 3 wrote this loop for the in-process channel fabric; the TCP fabric
-//! (`munin-tcp`) hosts exactly the same loop in a different process, with a
-//! kernel whose remote deliveries are socket writes instead of channel
-//! sends. [`NodeKernel`] is the small extra contract the loop needs beyond
-//! [`KernelApi`]: local thread resumption, access to the run-wide shared
-//! state, and the traffic shard the loop returns at exit.
+//! The in-process channel fabric runs it on one thread per node; the TCP
+//! fabric (`munin-tcp`) runs exactly the same loop in each node process.
+//! Both hand it the one [`NodeKernel`]; only the kernel's fabric link
+//! differs.
 
-use crate::fabric::{NodeEvent, Shared};
+use crate::fabric::{MsgBody, NodeEvent};
+use crate::kernel::{Link, NodeKernel};
 use munin_net::PayloadInfo;
-use munin_sim::{KernelApi, OpOutcome, OpResult, Server};
+use munin_sim::{KernelApi, OpOutcome, Server};
 use munin_types::{NodeId, ThreadId};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// What a wall-clock fabric's kernel provides to the shared server loop, on
-/// top of the protocol-facing [`KernelApi`]. Implemented by the in-process
-/// [`crate::RtKernel`] and by `munin-tcp`'s socket kernel.
-pub trait NodeKernel<P: PayloadInfo + Clone>: KernelApi<P> {
-    /// The node this kernel serves.
-    fn node_id(&self) -> NodeId;
-
-    /// Run-wide shared state (activity epochs, poisoning, error log).
-    fn shared(&self) -> &Arc<Shared>;
-
-    /// Resume a blocked application thread whose op completed locally
-    /// without going through [`KernelApi::complete`]'s bookkeeping.
-    fn resume(&mut self, thread: ThreadId, result: OpResult);
-
-    /// Threads whose *blocked* op the protocol completed (via
-    /// [`KernelApi::complete`]) since the last call. The server loop's op
-    /// gate uses this to dispatch those threads' queued pipelined ops; the
-    /// synchronous Done path never lands here (the loop sees it inline).
-    fn take_completions(&mut self) -> Vec<ThreadId>;
-
-    /// This node's traffic counters, taken when the loop exits (the world
-    /// merges every node's shard into the run totals).
-    fn take_stats(&mut self) -> munin_net::NetStats;
-}
 
 /// The per-thread op gate: the protocol servers were written for at most
 /// one outstanding op per thread (their pending structures are keyed by
@@ -143,15 +116,15 @@ pub fn request_dump<P>(inbox: &std::sync::mpsc::Sender<NodeEvent<P>>, timeout: D
 /// step ends by flushing the kernel's coalesced outbound batches (so
 /// nothing this step sent can be stranded while the loop blocks again).
 /// Returns this node's traffic shard for the world to merge at teardown.
-pub fn server_loop<S, K>(
+pub fn server_loop<S, L>(
     mut server: S,
-    mut kernel: K,
+    mut kernel: NodeKernel<S::Payload, L>,
     inbox: Receiver<NodeEvent<S::Payload>>,
     batch_max: usize,
 ) -> munin_net::NetStats
 where
     S: Server,
-    K: NodeKernel<S::Payload>,
+    L: Link<S::Payload>,
 {
     let shared = kernel.shared().clone();
     let node = kernel.node_id();
@@ -162,9 +135,9 @@ where
     // Feed one thread's op to the server, then keep feeding that thread's
     // queue while ops complete synchronously; a Blocked outcome closes the
     // thread's gate until the protocol calls `complete`.
-    fn dispatch<S: Server, K: NodeKernel<S::Payload>>(
+    fn dispatch<S: Server, L: Link<S::Payload>>(
         server: &mut S,
-        kernel: &mut K,
+        kernel: &mut NodeKernel<S::Payload, L>,
         gate: &mut OpGate,
         thread: ThreadId,
         first: munin_sim::DsmOp,
@@ -173,8 +146,8 @@ where
         while let Some(op) = next {
             // Gate dispatch *is* the protocol server's handle instant: the
             // span's dispatch timestamp and its server half open here. The
-            // matching `srv_finish` happens inside the kernel's resume /
-            // complete paths (whichever ends this op).
+            // matching `srv_finish` happens in the kernel's resume, which
+            // both the Done path and `complete` go through.
             kernel.shared().obs.srv_dispatch(thread);
             match server.on_op(kernel, thread, op) {
                 OpOutcome::Done { result, cost_us: _ } => {
@@ -189,6 +162,22 @@ where
                 }
             }
         }
+    }
+    // Hand one protocol message to the server, stamping the op span's home
+    // leg first when the message carries one.
+    fn on_message<S: Server, L: Link<S::Payload>>(
+        server: &mut S,
+        kernel: &mut NodeKernel<S::Payload, L>,
+        from: NodeId,
+        body: MsgBody<S::Payload>,
+    ) {
+        let obs = &kernel.shared().obs;
+        if obs.spans() {
+            if let Some(t) = body.payload().span_home_thread() {
+                obs.srv_home(t);
+            }
+        }
+        server.on_message(kernel, from, body.into_payload());
     }
     while !done {
         let first = match inbox.recv_timeout(Duration::from_millis(50)) {
@@ -219,24 +208,12 @@ where
                         dispatch(&mut server, &mut kernel, &mut gate, thread, op);
                     }
                 }
-                NodeEvent::Msg(from, body) => {
-                    if shared.obs.spans() {
-                        if let Some(t) = body.payload().span_home_thread() {
-                            shared.obs.srv_home(t);
-                        }
-                    }
-                    server.on_message(&mut kernel, from, body.into_payload());
-                }
-                NodeEvent::Batch(items) => {
-                    // One channel op from one peer step; per-(src,dst) FIFO
+                NodeEvent::Msg(from, body) => on_message(&mut server, &mut kernel, from, body),
+                NodeEvent::Batch(from, items) => {
+                    // One delivery from one peer step; per-(src,dst) FIFO
                     // is the vector order.
-                    for (from, body) in items {
-                        if shared.obs.spans() {
-                            if let Some(t) = body.payload().span_home_thread() {
-                                shared.obs.srv_home(t);
-                            }
-                        }
-                        server.on_message(&mut kernel, from, body.into_payload());
+                    for body in items {
+                        on_message(&mut server, &mut kernel, from, body);
                     }
                 }
                 NodeEvent::Timer(token) => server.on_timer(&mut kernel, token),

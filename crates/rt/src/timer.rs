@@ -103,13 +103,13 @@ mod tests {
     fn harness() -> (Sender<TimerReq>, Receiver<Ev>, Arc<Shared>, std::thread::JoinHandle<()>) {
         let (timer_tx, timer_rx) = channel();
         let (inbox_tx, inbox_rx) = channel::<Ev>();
-        let shared = Arc::new(Shared::new(Vec::new(), 0, munin_types::Telemetry::Off));
+        let shared = Arc::new(Shared::new(0, munin_types::Telemetry::Off));
         let s = shared.clone();
         let j = std::thread::spawn(move || run_timer_thread(timer_rx, vec![inbox_tx], s));
         (timer_tx, inbox_rx, shared, j)
     }
 
-    /// Arm a timer the way `RtKernel::set_timer` does: bump the pending
+    /// Arm a timer the way `NodeKernel::set_timer` does: bump the pending
     /// count *before* mailing the request.
     fn arm(tx: &Sender<TimerReq>, shared: &Shared, delay: Duration, token: u64) {
         shared.timers_pending.fetch_add(1, Ordering::Release);

@@ -4,7 +4,7 @@
 
 use crate::ctx::RtCtx;
 use crate::fabric::{NodeEvent, Shared};
-use crate::kernel::RtKernel;
+use crate::kernel::{ChannelLink, NodeKernel, SharedRegistry};
 use crate::serve::{drive_app_thread, server_loop};
 use crate::stall::StallDetector;
 use crate::timer::run_timer_thread;
@@ -49,7 +49,7 @@ pub struct RtTuning {
     pub batch_max: usize,
     /// Coalesce the protocol messages a server sends during one step into
     /// one channel message per destination (flush-fan-out batching; see
-    /// [`crate::RtKernel`]). Off, every protocol message is its own
+    /// [`crate::NodeKernel`]). Off, every protocol message is its own
     /// channel send.
     pub coalesce: bool,
     /// How a thread waits for an op completion: park immediately, or spin
@@ -137,9 +137,10 @@ where
     let n_threads = spec.n_threads();
     let coverage = spec.coverage.clone();
     let (decls, spawns) = spec.into_parts();
-    let mut shared0 = Shared::new(decls, n_threads, tuning.telemetry);
+    let mut shared0 = Shared::new(n_threads, tuning.telemetry);
     shared0.coverage = coverage;
     let shared = Arc::new(shared0);
+    let registry = Arc::new(SharedRegistry::new(decls));
 
     let mut inbox_txs: Vec<Sender<NodeEvent<P>>> = Vec::with_capacity(n_nodes);
     let mut inbox_rxs: Vec<Receiver<NodeEvent<P>>> = Vec::with_capacity(n_nodes);
@@ -168,18 +169,23 @@ where
 
     let mut server_joins = Vec::with_capacity(n_nodes);
     for (i, (server, inbox)) in servers.into_iter().zip(inbox_rxs).enumerate() {
-        let kernel = RtKernel {
-            node: NodeId(i as u16),
-            cost: cost.clone(),
+        let node = NodeId(i as u16);
+        let link = ChannelLink {
+            node,
             inboxes: inbox_txs.clone(),
             resumes: resume_txs.clone(),
-            timer_tx: timer_tx.clone(),
-            shared: shared.clone(),
-            stats: munin_net::NetStats::new(),
-            coalesce: tuning.coalesce,
-            outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-            completions: Vec::new(),
+            registry: registry.clone(),
         };
+        let kernel = NodeKernel::new(
+            node,
+            n_nodes,
+            cost.clone(),
+            link,
+            timer_tx.clone(),
+            shared.clone(),
+            registry.clone(),
+            tuning.coalesce,
+        );
         let batch_max = tuning.batch_max;
         server_joins.push(
             std::thread::Builder::new()

@@ -17,7 +17,7 @@ pub enum EventKind<W> {
     ThreadResume { thread: ThreadId, result: OpResult },
     /// A wire transmission arrives at `dst`.
     Deliver { src: NodeId, dst: NodeId, seq: u64, wire: W },
-    /// A server timer registered via `Kernel::set_timer`.
+    /// A server timer registered via `KernelApi::set_timer`.
     Timer { node: NodeId, token: u64 },
     /// The transport's retransmission timer for the (src, dst) pair.
     RetxTimer { src: NodeId, dst: NodeId },

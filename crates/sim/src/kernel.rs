@@ -5,14 +5,16 @@
 //! manager) do not care *how* they are scheduled — only that they can send
 //! protocol messages, complete blocked threads, register declarations, arm
 //! timers and report errors. [`KernelApi`] captures exactly that contract,
-//! so the same protocol logic runs on two very different kernels:
+//! and it has two implementations:
 //!
 //! * the **virtual-time kernel** ([`crate::Kernel`] inside
 //!   [`crate::World`]) — deterministic discrete-event simulation, one
 //!   runnable thread at a time;
-//! * the **real-time kernel** (`munin-rt`) — one OS thread per node server,
-//!   per-node message channels, app threads truly in parallel, wall-clock
-//!   timers.
+//! * the **wall-clock node kernel** (`munin_rt::NodeKernel`) — one per node
+//!   server thread, app threads truly in parallel, wall-clock timers. The
+//!   in-process channel fabric (`munin-rt`) and the multi-process socket
+//!   fabric (`munin-tcp`) run the same kernel; each supplies only a small
+//!   link that moves messages, resumes threads and writes the registry.
 //!
 //! The trait is object-safe on purpose: servers take
 //! `&mut dyn KernelApi<P>`, which keeps every fault handler monomorphic
@@ -29,7 +31,8 @@ use munin_types::{
 /// operations, messages and timers.
 ///
 /// Implemented by the deterministic virtual-time kernel
-/// ([`crate::Kernel`]) and by the real-time kernel (`munin_rt::RtKernel`).
+/// ([`crate::Kernel`]) and by the wall-clock node kernel
+/// (`munin_rt::NodeKernel`).
 pub trait KernelApi<P: PayloadInfo + Clone> {
     /// Current time: virtual microseconds on the simulator, wall-clock
     /// microseconds since run start on the real-time kernel.

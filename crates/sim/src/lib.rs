@@ -32,6 +32,7 @@ pub mod event;
 pub mod kernel;
 pub mod op;
 pub mod par;
+pub mod registry;
 pub mod report;
 pub mod spec;
 pub mod thread;
@@ -43,6 +44,7 @@ pub use kernel::KernelApi;
 pub use munin_obs::{CovRow, CoverageMap, CoverageSnapshot, Transition};
 pub use op::{DsmOp, OpOutcome, OpResult};
 pub use par::{OpPort, Par};
+pub use registry::Registry;
 pub use report::RunReport;
 pub use spec::{ThreadBody, WorldSpec};
 pub use thread::ThreadCtx;

@@ -144,7 +144,7 @@ pub enum OpOutcome {
     /// time with `result`.
     Done { result: OpResult, cost_us: u64 },
     /// The op needs remote interaction (or must wait for a lock/barrier);
-    /// the server will call [`crate::Kernel::complete`] later.
+    /// the server will call [`crate::KernelApi::complete`] later.
     Blocked,
 }
 

@@ -37,6 +37,9 @@ pub const STREAM_CTRL: u8 = b'C';
 /// rejecting corrupt length prefixes before they become allocations.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
+/// The first read of a frame body: [`read_frame`] grows its buffer from here.
+const FIRST_READ_CHUNK: usize = 32 << 10;
+
 /// One frame on a per-pair data stream. The source node is implied by the
 /// stream (one stream per ordered node pair), so batches are plain payload
 /// vectors in send order — per-(src,dst) FIFO is the vector order, exactly
@@ -376,9 +379,19 @@ pub fn read_frame<T: Wire>(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Res
             format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
         ));
     }
+    // Grow the buffer only as body bytes arrive, doubling from a first
+    // chunk below 64 KiB: a peer that announces a large frame and sends
+    // nothing costs no memory, and a large frame costs O(log n) reads.
+    // Exact reservations keep a reader's reused buffer at its largest
+    // frame; amortized growth would leave up to twice that resident.
     buf.clear();
-    buf.resize(len, 0);
-    stream.read_exact(buf)?;
+    while buf.len() < len {
+        let start = buf.len();
+        let chunk = (len - start).min(start.max(FIRST_READ_CHUNK));
+        buf.reserve_exact(chunk);
+        buf.resize(start + chunk, 0);
+        stream.read_exact(&mut buf[start..])?;
+    }
     T::decode(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 

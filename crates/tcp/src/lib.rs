@@ -1,29 +1,31 @@
 //! # munin-tcp
 //!
-//! The **multi-process socket fabric** for the Munin and Ivy protocol
-//! servers — the third kernel behind the `KernelApi` seam, after the
-//! deterministic virtual-time simulator (`munin-sim`) and the in-process
-//! real-time kernel (`munin-rt`).
+//! The **multi-process socket fabric** for the protocol servers — the third
+//! fabric behind the `KernelApi` seam, after the deterministic virtual-time
+//! simulator (`munin-sim`) and the in-process channel fabric (`munin-rt`).
+//! It runs `munin-rt`'s one wall-clock node kernel; what it adds is a
+//! fabric link ([`SocketLink`]) and the processes around it.
 //!
 //! ## Shape of a distributed run
 //!
 //! * **One OS process per node.** The coordinator process is node 0; every
 //!   other node is a `munin-node` child process running the *same server
-//!   loop* as the in-process kernel (`munin_rt::server_loop`), just with a
-//!   [`TcpKernel`] whose remote deliveries are socket writes. Protocol
-//!   logic in `munin-core`/`munin-ivy` is untouched.
+//!   loop and kernel* as the in-process fabric (`munin_rt::server_loop`,
+//!   `munin_rt::NodeKernel`), over a [`SocketLink`] whose deliveries are
+//!   socket writes. Protocol logic is untouched.
 //! * **One TCP stream per node pair.** Per-(src,dst) FIFO — the ordering
 //!   assumption the protocols were written against — comes free from the
 //!   stream. With coalescing on, everything one server step sends to a
-//!   destination leaves as a single length-prefixed `Batch` frame: PR 4's
-//!   batching seam is exactly the framing/writev boundary the socket wants.
+//!   destination leaves as a single length-prefixed `Batch` frame: the
+//!   kernel's end-of-step flush is exactly the framing boundary the socket
+//!   wants.
 //! * **Application threads stay in the coordinator** (closures do not cross
 //!   processes): a thread placed on node `j` reaches node `j`'s server via
 //!   forwarded `Op` frames and is resumed by `Resume` frames. The apps,
 //!   the typed `Par` surface, and the harness are unchanged — all six
 //!   study applications run unmodified under `Backend::MuninTcp`/`IvyTcp`.
-//! * **A coordinator-hosted registry service** replaces the in-process
-//!   `Arc<RwLock>` registry: reads hit a per-process versioned snapshot;
+//! * **A coordinator-hosted registry service** keeps the master copy of
+//!   the declarations: reads hit a per-process versioned snapshot;
 //!   writes (dynamic allocation, adaptive retyping) are request/reply
 //!   frames whose reply arrives only after every node's snapshot acked the
 //!   update (see [`registry`] for why that ack-barrier makes cross-stream
@@ -47,7 +49,7 @@
 //! control/data frame vocabularies.
 
 pub mod frames;
-pub mod kernel;
+pub mod link;
 pub mod node;
 pub mod registry;
 pub mod sig;
@@ -56,6 +58,6 @@ pub mod wire;
 pub mod world;
 
 pub use frames::TestFault;
-pub use kernel::TcpKernel;
+pub use link::SocketLink;
 pub use spawn::{node_binary, tcp_support};
 pub use world::{run_world, TcpTuning};

@@ -11,7 +11,8 @@
 //!    accept a connection from every higher-numbered one (one TCP stream
 //!    per node pair, which gives per-(src,dst) FIFO for free);
 //! 4. send `Ready`, then run the **same server loop** as the in-process
-//!    real-time kernel (`munin_rt::server_loop`) with a [`TcpKernel`];
+//!    real-time kernel (`munin_rt::server_loop`), its kernel running over a
+//!    [`SocketLink`];
 //! 5. on `Finish`, drain out, report `Done { stats, errors }` and exit;
 //!    on `Poison`, a lost peer, or a lost coordinator, tear down
 //!    immediately with the cause recorded.
@@ -20,12 +21,12 @@ use crate::frames::{
     accept_streams, read_frame, send_shared, shared_writer, write_frame, CtrlFrame, DataFrame,
     SharedWriter, StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
-use crate::kernel::{ResumeSink, TcpKernel};
-use crate::registry::{RegCache, RegClient, RegWritePath};
+use crate::link::{ResumeSink, SocketLink};
+use crate::registry::{RegClient, RegWritePath};
 use crate::wire::Wire;
 use munin_proto::Protocol;
 use munin_rt::timer::run_timer_thread;
-use munin_rt::{server_loop, MsgBody, NodeEvent, Shared};
+use munin_rt::{server_loop, MsgBody, NodeEvent, NodeKernel, Shared, SharedRegistry};
 use munin_sim::Server;
 use munin_types::{CostModel, NodeId};
 use std::io::{self, Write};
@@ -147,13 +148,13 @@ where
     // No application threads live here, but the observability collector
     // still needs one server-span slot per (coordinator-hosted) thread —
     // forwarded ops dispatch on this node under their issuing thread's id.
-    let mut shared0 = Shared::new(Vec::new(), start.n_threads, start.telemetry);
+    let mut shared0 = Shared::new(start.n_threads, start.telemetry);
     if start.coverage {
         shared0.coverage = Some(Arc::new(munin_obs::CoverageMap::new()));
     }
     let shared = Arc::new(shared0);
     let finishing = Arc::new(AtomicBool::new(false));
-    let cache = Arc::new(RegCache::new(&start.decls));
+    let cache = Arc::new(SharedRegistry::new(start.decls.clone()));
     let (inbox_tx, inbox_rx) = channel::<NodeEvent<S::Payload>>();
     let ctrl_writer = shared_writer(ctrl.try_clone()?);
 
@@ -258,26 +259,20 @@ where
     spawn_test_fault(me, start.test_fault, &raw_streams);
 
     // ---- the same server loop as the in-process rt kernel ----------------
-    let registry = RegClient {
-        cache,
-        path: RegWritePath::Remote { ctrl: ctrl_writer.clone() },
-        reply_rx: reg_reply_rx,
-        shared: shared.clone(),
-    };
-    let kernel = TcpKernel {
+    let link = SocketLink {
         node: me,
-        cost,
-        peers,
-        resumes: ResumeSink::Remote(ctrl_writer.clone()),
-        timer_tx,
         shared: shared.clone(),
-        registry,
-        stats: munin_net::NetStats::new(),
-        coalesce: start.coalesce,
-        outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
+        peers,
         scratch: Vec::new(),
-        completions: Vec::new(),
+        resumes: ResumeSink::Remote(ctrl_writer.clone()),
+        registry: RegClient {
+            path: RegWritePath::Remote { ctrl: ctrl_writer.clone() },
+            reply_rx: reg_reply_rx,
+            shared: shared.clone(),
+        },
     };
+    let kernel =
+        NodeKernel::new(me, n_nodes, cost, link, timer_tx, shared.clone(), cache, start.coalesce);
     send_shared(&ctrl_writer, &CtrlFrame::Ready)
         .map_err(|e| io::Error::new(e.kind(), format!("sending Ready: {e}")))?;
 
@@ -328,9 +323,8 @@ pub(crate) fn spawn_data_reader<P>(
                         }
                     }
                     Ok(DataFrame::Batch(items)) => {
-                        let batch =
-                            items.into_iter().map(|p| (src, MsgBody::Owned(p))).collect::<Vec<_>>();
-                        if inbox.send(NodeEvent::Batch(batch)).is_err() {
+                        let batch = items.into_iter().map(MsgBody::Owned).collect();
+                        if inbox.send(NodeEvent::Batch(src, batch)).is_err() {
                             return;
                         }
                     }
@@ -380,7 +374,7 @@ fn spawn_ctrl_reader<P>(
     mut stream: TcpStream,
     inbox: Sender<NodeEvent<P>>,
     reg_reply_tx: Sender<crate::frames::RegReply>,
-    cache: Arc<RegCache>,
+    cache: Arc<SharedRegistry>,
     ctrl_writer: SharedWriter,
     shared: Arc<Shared>,
     finishing: Arc<AtomicBool>,
@@ -419,7 +413,7 @@ fn spawn_ctrl_reader<P>(
                         let _ = reg_reply_tx.send(r);
                     }
                     Ok(CtrlFrame::RegUpdate { decl, version, seq }) => {
-                        cache.apply(decl, version);
+                        cache.write(|r| r.apply(decl, version));
                         let _ = send_shared(&ctrl_writer, &CtrlFrame::RegUpdateAck { seq });
                     }
                     Ok(CtrlFrame::DumpReq) => {

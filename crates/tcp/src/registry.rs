@@ -1,9 +1,9 @@
 //! The coordinator-hosted object-declaration registry.
 //!
-//! The in-process kernels share one registry behind an `Arc<RwLock>`; real
-//! processes cannot. Here node 0's process hosts the authoritative map and
-//! every node (including node 0's own kernel) works against a **versioned
-//! local snapshot**:
+//! Node processes cannot share one registry in memory. Here node 0's
+//! process keeps the master copy (a [`Registry`]) and every node (including
+//! node 0's own kernel) works against a **versioned local snapshot** (a
+//! [`SharedRegistry`]):
 //!
 //! * **reads** (`decl`, `assoc_objects`, `registry_version`) are answered
 //!   from the snapshot without any communication — matching the paper's
@@ -22,61 +22,18 @@
 //! steady-state path.
 
 use crate::frames::{send_shared, CtrlFrame, RegReply, RegRequest, SharedWriter};
-use munin_rt::Shared;
-use munin_types::{LockId, NodeId, ObjectDecl, ObjectId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use munin_rt::{Shared, SharedRegistry};
+use munin_sim::Registry;
+use munin_types::{NodeId, ObjectDecl};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long the registry service waits for snapshot acks before giving up
 /// on a silent node (the run is already failing if a node stops acking; the
 /// fault paths will name it).
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// One process's snapshot of the registry.
-pub struct RegCache {
-    map: Mutex<HashMap<ObjectId, ObjectDecl>>,
-    version: AtomicU64,
-}
-
-impl RegCache {
-    pub fn new(decls: &[ObjectDecl]) -> Self {
-        RegCache {
-            map: Mutex::new(decls.iter().map(|d| (d.id, d.clone())).collect()),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    pub fn decl(&self, obj: ObjectId) -> Option<ObjectDecl> {
-        self.map.lock().expect("registry cache poisoned").get(&obj).cloned()
-    }
-
-    pub fn assoc_objects(&self, lock: LockId) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .map
-            .lock()
-            .expect("registry cache poisoned")
-            .values()
-            .filter(|d| d.associated_lock == Some(lock))
-            .map(|d| d.id)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Apply one pushed update (insert/replace the declaration, adopt the
-    /// service's version counter).
-    pub fn apply(&self, decl: ObjectDecl, version: u64) {
-        self.map.lock().expect("registry cache poisoned").insert(decl.id, decl);
-        self.version.store(version, Ordering::Release);
-    }
-}
 
 /// Input to the registry service thread: write requests and snapshot acks,
 /// funneled from every node's control reader plus node 0's local client.
@@ -96,7 +53,7 @@ pub enum RegEvent {
 pub enum RegPort {
     /// Node 0: its snapshot lives in this process; replies go down a local
     /// channel, updates are applied directly (no ack round-trip needed).
-    Local { cache: Arc<RegCache>, reply_tx: Sender<RegReply> },
+    Local { cache: Arc<SharedRegistry>, reply_tx: Sender<RegReply> },
     /// A child node, reached over its control stream.
     Remote { ctrl: SharedWriter },
 }
@@ -109,10 +66,7 @@ pub fn run_registry_service(
     initial: Vec<ObjectDecl>,
     shared: Arc<Shared>,
 ) {
-    let mut next_object = initial.iter().map(|d| d.id.0 + 1).max().unwrap_or(0);
-    let mut master: HashMap<ObjectId, ObjectDecl> =
-        initial.into_iter().map(|d| (d.id, d)).collect();
-    let mut version: u64 = 0;
+    let mut master = Registry::new(initial);
     // Barrier sequence: every broadcast gets a fresh value, and only acks
     // echoing the *current* value count — a late ack from a barrier that
     // timed out (its node descheduled past ACK_TIMEOUT) must not release
@@ -134,28 +88,20 @@ pub fn run_registry_service(
             // with per-seq attribution it is safely ignorable noise.
             RegEvent::Ack { .. } => continue,
         };
-        let reply = match req {
-            RegRequest::Decl { mut decl, home } => {
-                let id = ObjectId(next_object);
-                next_object += 1;
-                decl.id = id;
-                decl.home = home;
-                master.insert(id, decl.clone());
-                seq += 1;
-                broadcast(&ports, &rx, &mut backlog, &shared, decl, version, seq);
-                RegReply::Decl { id, version }
+        let (update, reply) = match req {
+            RegRequest::Decl { decl, home } => {
+                let id = master.register(decl, home);
+                (master.decl(id).cloned(), RegReply::Decl { id, version: master.version() })
             }
             RegRequest::Retype { obj, sharing } => {
-                if let Some(d) = master.get_mut(&obj) {
-                    d.sharing = sharing;
-                    version += 1;
-                    let decl = d.clone();
-                    seq += 1;
-                    broadcast(&ports, &rx, &mut backlog, &shared, decl, version, seq);
-                }
-                RegReply::Retype { version }
+                let decl = master.retype(obj, sharing).cloned();
+                (decl, RegReply::Retype { version: master.version() })
             }
         };
+        if let Some(decl) = update {
+            seq += 1;
+            broadcast(&ports, &rx, &mut backlog, &shared, decl, master.version(), seq);
+        }
         match &ports[from.index()] {
             RegPort::Local { reply_tx, .. } => {
                 let _ = reply_tx.send(reply);
@@ -184,7 +130,7 @@ fn broadcast(
     let mut pending: BTreeSet<NodeId> = BTreeSet::new();
     for (i, port) in ports.iter().enumerate() {
         match port {
-            RegPort::Local { cache, .. } => cache.apply(decl.clone(), version),
+            RegPort::Local { cache, .. } => cache.write(|r| r.apply(decl.clone(), version)),
             RegPort::Remote { ctrl } => {
                 let update = CtrlFrame::RegUpdate { decl: decl.clone(), version, seq };
                 if send_shared(ctrl, &update).is_ok() {
@@ -224,7 +170,6 @@ fn broadcast(
 /// snapshot). One outstanding write at a time per node — writes only ever
 /// originate from the node's single server thread.
 pub struct RegClient {
-    pub cache: Arc<RegCache>,
     pub path: RegWritePath,
     pub reply_rx: Receiver<RegReply>,
     pub shared: Arc<Shared>,

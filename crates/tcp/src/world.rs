@@ -23,9 +23,9 @@ use crate::frames::{
     accept_streams, read_frame, send_shared, shared_writer, CtrlFrame, RegReply, SharedWriter,
     StartConfig, TestFault, STREAM_CTRL, STREAM_DATA,
 };
-use crate::kernel::{ResumeSink, TcpKernel};
+use crate::link::{ResumeSink, SocketLink};
 use crate::node::spawn_data_reader;
-use crate::registry::{RegCache, RegClient, RegEvent, RegPort, RegWritePath};
+use crate::registry::{run_registry_service, RegClient, RegEvent, RegPort, RegWritePath};
 use crate::sig;
 use crate::spawn::spawn_node;
 use crate::wire::Wire;
@@ -33,7 +33,9 @@ use munin_net::{NetStats, PayloadInfo};
 use munin_proto::Protocol;
 use munin_rt::stall::StallDetector;
 use munin_rt::timer::run_timer_thread;
-use munin_rt::{drive_app_thread, server_loop, NodeEvent, RtCtx, RtTuning, Shared};
+use munin_rt::{
+    drive_app_thread, server_loop, NodeEvent, NodeKernel, RtCtx, RtTuning, Shared, SharedRegistry,
+};
 use munin_sim::report::{RunReport, WaitTable, WallClock};
 use munin_sim::{OpResult, Server, WorldSpec};
 use munin_types::{CostModel, NodeId, ThreadId, VirtualTime};
@@ -137,7 +139,7 @@ where
     let n_nodes = spec.n_nodes();
     let n_threads = spec.n_threads();
     let sync = spec.sync.clone();
-    let mut shared0 = Shared::new(Vec::new(), n_threads, tuning.rt.telemetry);
+    let mut shared0 = Shared::new(n_threads, tuning.rt.telemetry);
     shared0.coverage = spec.coverage.clone();
     let (decls, spawns) = spec.into_parts();
     let shared = Arc::new(shared0);
@@ -287,7 +289,7 @@ where
     drop(done_tx);
     drop(dump_tx);
 
-    let cache0 = Arc::new(RegCache::new(&decls));
+    let cache0 = Arc::new(SharedRegistry::new(decls.clone()));
     let (reg_reply_tx0, reg_reply_rx0) = channel::<RegReply>();
     let reg_ports: Vec<RegPort> = (0..n_nodes)
         .map(|i| {
@@ -332,25 +334,28 @@ where
             .spawn(move || run_timer_thread(timer_rx, inboxes, shared))
             .expect("failed to spawn timer thread")
     };
-    let kernel = TcpKernel {
+    let link = SocketLink {
         node: NodeId(0),
-        cost,
-        peers: peer_writers,
-        resumes: ResumeSink::Local(resume_txs.clone()),
-        timer_tx,
         shared: shared.clone(),
+        peers: peer_writers,
+        scratch: Vec::new(),
+        resumes: ResumeSink::Local(resume_txs.clone()),
         registry: RegClient {
-            cache: cache0,
             path: RegWritePath::Local { tx: reg_tx.clone(), node: NodeId(0) },
             reply_rx: reg_reply_rx0,
             shared: shared.clone(),
         },
-        stats: NetStats::new(),
-        coalesce: tuning.rt.coalesce,
-        outbox: (0..n_nodes).map(|_| Vec::new()).collect(),
-        scratch: Vec::new(),
-        completions: Vec::new(),
     };
+    let kernel = NodeKernel::new(
+        NodeId(0),
+        n_nodes,
+        cost,
+        link,
+        timer_tx,
+        shared.clone(),
+        cache0,
+        tuning.rt.coalesce,
+    );
     let node0_join = {
         let inbox_rx = inbox_rx;
         let batch_max = tuning.rt.batch_max;
@@ -800,5 +805,3 @@ fn reap_children(children: Vec<(NodeId, Child)>, shared: &Shared) {
         }
     }
 }
-
-use crate::registry::run_registry_service;

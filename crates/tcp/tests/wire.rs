@@ -665,3 +665,29 @@ fn hostile_bytes_fail_closed() {
         }
     }
 }
+
+/// The stream reader grows its buffer as a frame body arrives; frames on
+/// both sides of every growth step must still read back whole, in order.
+#[test]
+fn frames_of_every_size_read_back_whole_over_a_socket() {
+    use munin_tcp::frames::{read_frame, write_frame};
+    use std::net::{TcpListener, TcpStream};
+    let sizes = [0usize, 1, (32 << 10) - 5, 32 << 10, (32 << 10) + 1, 300 << 10, (1 << 20) + 3];
+    let frames: Vec<Vec<u8>> =
+        sizes.iter().map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect()).collect();
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+    let mut out = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (mut input, _) = listener.accept().expect("accept");
+    let sent = frames.clone();
+    let writer = std::thread::spawn(move || {
+        let mut scratch = Vec::new();
+        for f in &sent {
+            write_frame(&mut out, &mut scratch, f).expect("write frame");
+        }
+    });
+    let mut buf = Vec::new();
+    for f in &frames {
+        assert_eq!(&read_frame::<Vec<u8>>(&mut input, &mut buf).expect("read frame"), f);
+    }
+    writer.join().expect("writer thread");
+}
